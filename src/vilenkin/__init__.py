@@ -62,7 +62,6 @@ from .operators import (
     maximal_function_grid,
     v_component,
     v_component_grid,
-    v_component_sup_grid,
     v_maximal,
     v_sup_grid,
     w_operator_1d,

@@ -29,9 +29,6 @@ __all__ = [
     "vilenkin_column",
 ]
 
-# character tables are memoized per structure below this grid size
-_TABLE_SIZE_LIMIT = 1500
-
 
 def rademacher(structure: GroupStructure, k: int, x: int) -> complex:
     """r_k(x) = exp(2 pi i x_k / m_k)."""
@@ -77,18 +74,15 @@ def vilenkin_column(structure: GroupStructure, n: int) -> np.ndarray:
 
 
 def character_table(structure: GroupStructure) -> np.ndarray:
-    """Full (size, size) table C[n, x] = psi_n(x); memoized for small grids."""
-    cached = structure._cache.get("character_table")
-    if cached is not None:
-        return cached
-    digits = structure.digit_table.astype(np.float64)
-    weights = digits / np.array(structure.radices, dtype=np.float64)
-    phase = weights @ structure.digit_table.T.astype(np.float64)
-    table = np.exp(2j * np.pi * phase)
-    if structure.size <= _TABLE_SIZE_LIMIT:
-        table.setflags(write=False)
-        structure._cache["character_table"] = table
-    return table
+    """Full (size, size) table C[n, x] = psi_n(x); stored on the structure."""
+
+    def build() -> np.ndarray:
+        digits = structure.digit_table.astype(np.float64)
+        weights = digits / np.array(structure.radices, dtype=np.float64)
+        phase = weights @ structure.digit_table.T.astype(np.float64)
+        return np.exp(2j * np.pi * phase)
+
+    return structure.table("character_table", build)
 
 
 def dirichlet(structure: GroupStructure, k: int, x: int) -> complex:
@@ -106,17 +100,8 @@ def dirichlet_table(structure: GroupStructure, k: int) -> np.ndarray:
     k = int(k)
     if not 0 <= k <= structure.size:
         raise ValueError(f"kernel order {k} not in [0, {structure.size}]")
-    cache = structure._cache.setdefault("dirichlet_tables", {})
-    if k in cache:
-        return cache[k]
-    if k == 0:
-        table = np.zeros(structure.size, dtype=np.complex128)
-    else:
-        table = character_table(structure)[:k].sum(axis=0)
-    if structure.size <= _TABLE_SIZE_LIMIT:
-        table.setflags(write=False)
-        cache[k] = table
-    return table
+    # k = 0 sums no rows: the zero table
+    return structure.table(("dirichlet", k), lambda: character_table(structure)[:k].sum(axis=0))
 
 
 def block_dirichlet(structure: GroupStructure, n: int, z) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Command-line front door: verification suites and experiments.
 
 Each invocation runs one experiment and writes a JSON or CSV artifact
-(stdout by default).  Exit status is nonzero exactly when an exact-identity
-assertion fails; monitored constants (estimate ratios, quasi-locality
-integrals) never fail the run, they are reported with a warning field.
+(stdout by default).  Exit status is 1 exactly when an exact-identity
+assertion fails and 2 when the config is bad (a one-line ``error:`` message
+on stderr); monitored constants (estimate ratios, quasi-locality integrals)
+never fail the run, they are reported with a warning field.
 
 Output for a fixed config and seed is deterministic byte for byte, except
 for the timing fields of transform-bench.
@@ -258,6 +259,8 @@ def run_atoms(structure: GroupStructure, args) -> dict:
     rng = np.random.default_rng(args.seed)
     count = args.points or 20
     depths = [N for N in (1, 2, 3) if N < structure.depth]
+    if not depths:
+        raise ValueError(f"atoms needs depth >= 2 for a support depth N < L, got {structure.depth}")
     p_values = (0.6, 0.8, 1.0)
     atoms_out = []
     max_by_region: dict = {}
@@ -407,20 +410,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _usage_error(message: object) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
+        return _usage_error(f"--out directory of {args.out!r} does not exist")
     if args.experiment == "list-functions":
         payload = {"experiment": "list-functions", "functions": list_test_functions(), "pass": True}
-        _write_artifact(_render(payload, args.format), args.out)
-        return 0
+    else:
+        if args.points is not None and args.points < 1:
+            return _usage_error(f"--points must be >= 1, got {args.points}")
+        try:
+            radices = tuple(int(tok) for tok in args.radices.split(","))
+            structure = make_structure(radices, args.depth)
+            payload = RUNNERS[args.experiment](structure, args)
+        except ValueError as exc:
+            return _usage_error(exc)
     try:
-        radices = tuple(int(tok) for tok in args.radices.split(","))
-        structure = make_structure(radices, args.depth)
-        payload = RUNNERS[args.experiment](structure, args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    _write_artifact(_render(payload, args.format), args.out)
+        _write_artifact(_render(payload, args.format), args.out)
+    except OSError as exc:
+        return _usage_error(exc)
     return 0 if payload.get("pass", True) else 1
 
 

@@ -11,15 +11,20 @@ digit expansion, which makes the element layout and the spectral index
 layout coincide.
 
 All structures are immutable after construction; every function here is
-pure, so concurrent use from multiple threads is safe.
+pure, so concurrent use from multiple threads is safe.  Each structure also
+keeps the read-only digit tables its kernels and operators derive from it
+(``GroupStructure.table``); their stored bytes never exceed
+TABLE_BUDGET_BYTES.
 """
 
 from __future__ import annotations
 
 import os
+import threading
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -27,10 +32,18 @@ __all__ = [
     "DEFAULT_GRID_CAP",
     "GroupStructure",
     "MixedRadixIndex",
+    "TABLE_BUDGET_BYTES",
     "make_structure",
 ]
 
 DEFAULT_GRID_CAP = 10**8  # cap on the number of 2-D grid points, i.e. M_L ** 2
+
+# bytes of tables one structure keeps; the largest grid the default cap allows
+# has 10**8 points, so a single float64 grid table there is 800 MB
+TABLE_BUDGET_BYTES = 256 * 2**20
+
+# guards the check-then-insert of a table miss; hits take no lock
+_TABLE_LOCK = threading.Lock()
 
 
 def _resolve_grid_cap(grid_cap: Optional[int]) -> int:
@@ -88,7 +101,8 @@ class GroupStructure:
         self.depth = len(radices)
         self.orders = tuple(orders)
         self.size = orders[-1]
-        self._cache: dict = {}
+        self._tables: dict = {}
+        self._table_bytes = 0
 
     # -- identity ----------------------------------------------------------
 
@@ -146,12 +160,12 @@ class GroupStructure:
                 order = k
         return MixedRadixIndex(value=int(n), digits=digits, order=order)
 
-    def index_order(self, n: int) -> Optional[int]:
-        """|n| = max{k : n_k != 0}; None for n = 0; n = M_L maps to L."""
+    def index_order(self, n: int) -> int:
+        """|n|, the k with M_k <= n < M_{k+1}, for 1 <= n <= M_L (M_L maps to L)."""
         n = int(n)
-        if n == self.size:
-            return self.depth
-        return self.index_digits(n).order
+        if not 1 <= n <= self.size:
+            raise ValueError(f"order {n} not in [1, {self.size}]")
+        return bisect_right(self.orders, n) - 1
 
     # -- group operations ----------------------------------------------------
 
@@ -169,10 +183,6 @@ class GroupStructure:
         out = self._pack((dx - dy) % np.array(self.radices))
         return out if isinstance(x, np.ndarray) or isinstance(y, np.ndarray) else int(out)
 
-    def neg(self, x):
-        """Group inverse."""
-        return self.sub(0, x) if np.isscalar(x) or isinstance(x, int) else self.sub(np.zeros_like(x), x)
-
     def _pack(self, digit_rows: np.ndarray) -> np.ndarray:
         return digit_rows @ np.array(self.orders[: self.depth])
 
@@ -183,14 +193,6 @@ class GroupStructure:
         dx = self.digit_table[xs][:, None, :]
         dy = self.digit_table[ys][None, :, :]
         return self._pack((dx + dy) % np.array(self.radices))
-
-    def sub_outer(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Table of x - y over the cartesian product of two index arrays."""
-        xs = np.asarray(xs)
-        ys = np.asarray(ys)
-        dx = self.digit_table[xs][:, None, :]
-        dy = self.digit_table[ys][None, :, :]
-        return self._pack((dx - dy) % np.array(self.radices))
 
     def basis_element(self, k: int) -> int:
         """e_k, the element with digit 1 at position k; linear index M_k."""
@@ -213,8 +215,28 @@ class GroupStructure:
         base = int(center) % self.orders[n]
         return base + self.orders[n] * np.arange(self.size // self.orders[n])
 
-    def interval_measure(self, n: int) -> float:
-        return 1.0 / self.orders[n]
+    # -- stored tables ----------------------------------------------------------
+
+    def table(self, key, build: Callable[[], np.ndarray]) -> np.ndarray:
+        """The table stored under ``key``, or ``build()`` made read-only.
+
+        A built table is kept while the stored bytes stay within
+        TABLE_BUDGET_BYTES; once the budget is spent, later tables are
+        returned without being kept.  Nothing is evicted, so a scan that walks
+        the same keys on every call keeps hitting the tables it kept first.
+        """
+        stored = self._tables.get(key)
+        if stored is not None:
+            return stored
+        table = build()
+        table.setflags(write=False)
+        with _TABLE_LOCK:
+            if key in self._tables:
+                return self._tables[key]
+            if self._table_bytes + table.nbytes <= TABLE_BUDGET_BYTES:
+                self._tables[key] = table
+                self._table_bytes += table.nbytes
+        return table
 
     # -- root-of-unity tables ---------------------------------------------------
 

@@ -14,8 +14,7 @@ group and two mixed D x K groups), each weighted by r_{k+1,A-1}.  The three
 groups alone reproduce M_A K_{M_A} exactly; the extra additive tail
 r_{1,A-1}(x+y) that sometimes accompanies statements of this decomposition
 breaks the identity (it double-counts the bottom level, which the k = 0
-group already carries) and is therefore off by default, available behind a
-flag for comparison.
+group already carries), so it is not part of ``kernel_decomposition_rhs``.
 
 The estimate evaluators return the majorant side only; ``estimate_scan``
 reports the observed LHS/RHS ratios since the hidden constants are not
@@ -178,21 +177,20 @@ def r_factor_closed(structure: GroupStructure, i: int, n: int, x: int, y: int) -
 def r_factor_table(structure: GroupStructure, i: int, n: int) -> np.ndarray:
     """r_{i,n} as a function of w = x + y, tabulated over the grid.
 
-    Uses the closed form (exact zeros); cached per structure.
+    Uses the closed form (exact zeros); stored on the structure.  Its
+    support, ``r_factor_table(...) > 0``, is the indicator that digits i..n
+    of w all vanish.
     """
     if i > n:
         return np.ones(structure.size)
-    cache = structure._cache.setdefault("r_tables", {})
-    key = (i, n)
-    if key in cache:
-        return cache[key]
-    Mi, Mn1 = structure.orders[i], structure.orders[n + 1]
-    w = np.arange(structure.size)
-    mask = (w % Mn1) < Mi  # digits i..n of w vanish iff w mod M_{n+1} < M_i
-    table = np.where(mask, float(Mn1 // Mi), 0.0)
-    table.setflags(write=False)
-    cache[key] = table
-    return table
+
+    def build() -> np.ndarray:
+        Mi, Mn1 = structure.orders[i], structure.orders[n + 1]
+        w = np.arange(structure.size)
+        mask = (w % Mn1) < Mi  # digits i..n of w vanish iff w mod M_{n+1} < M_i
+        return np.where(mask, float(Mn1 // Mi), 0.0)
+
+    return structure.table(("r", i, n), build)
 
 
 # -- block decomposition of M_A K_{M_A} -----------------------------------------
@@ -203,16 +201,12 @@ def kernel_decomposition_rhs(
     A: int,
     x: int,
     y: int,
-    *,
-    include_tail: bool = False,
 ) -> complex:
     """Right-hand side of the block decomposition of M_A K_{M_A}(x, y).
 
     Three groups per level k < A: the D_{M_k}(x) D_{M_k}(y) group weighted by
     M_k, and the two mixed groups pairing D_{M_k} on one axis with
-    M_k K_{M_k} on the other; all weighted by r_{k+1,A-1}(x, y).  With
-    ``include_tail`` the spurious additive r_{1,A-1}(x + y) term is added,
-    which is off by default because it breaks the exact identity.
+    M_k K_{M_k} on the other; all weighted by r_{k+1,A-1}(x, y).
     """
     if not 1 <= A <= structure.depth:
         raise ValueError(f"block level {A} not in [1, {structure.depth}]")
@@ -243,17 +237,13 @@ def kernel_decomposition_rhs(
         MkK_x = Mk * fejer_value(structure, Mk, int(x))
         MkK_y = Mk * fejer_value(structure, Mk, int(y))
         total += r * (Mk * s1 * Dx * Dy + s2 * Dx * MkK_y + s3 * Dy * MkK_x)
-    if include_tail:
-        total += r_factor_table(structure, 1, A - 1)[w]
     return complex(total)
 
 
 def fejer_value(structure: GroupStructure, n: int, x: int) -> complex:
-    """K_n(x) looked up from a cached 1-D kernel table."""
-    cache = structure._cache.setdefault("fejer_tables", {})
-    if n not in cache:
-        cache[n] = fejer_kernel_1d(structure, n).values
-    return complex(cache[n][x])
+    """K_n(x) looked up from a stored 1-D kernel table."""
+    table = structure.table(("fejer", n), lambda: fejer_kernel_1d(structure, n).values)
+    return complex(table[x])
 
 
 # -- estimate majorants ----------------------------------------------------------
@@ -286,7 +276,7 @@ def block_shift_majorant(
 
 def scale_sum_majorant(structure: GroupStructure, n: int, x: int) -> float:
     """Block Fejer majorant for n |K_n(x)|: sum_{j<=A} M_j |K_{M_j}(x)|."""
-    A = _order_of(structure, n)
+    A = structure.index_order(n)
     total = 0.0
     for j in range(A + 1):
         Mj = structure.orders[j]
@@ -302,7 +292,7 @@ def double_shift_majorant(structure: GroupStructure, n: int, x: int) -> float:
     evaluated in both summation orders (they agree by Fubini; an assertion
     guards the reordering).
     """
-    A = _order_of(structure, n)
+    A = structure.index_order(n)
     first = 0.0
     for j in range(A + 1):
         for s in range(min(j, structure.depth - 1) + 1):
@@ -324,7 +314,7 @@ def double_shift_majorant(structure: GroupStructure, n: int, x: int) -> float:
 
 def kernel_majorant_2d(structure: GroupStructure, n: int, x: int, y: int) -> float:
     """Four-sum majorant for n |K_n(x, y)| with r-weights and block shifts."""
-    A = _order_of(structure, n)
+    A = structure.index_order(n)
     w = structure.add(x, y)
     total = 0.0
     # two r-weighted groups: shifts on one axis, plain block kernel on the other
@@ -366,14 +356,6 @@ def kernel_majorant_2d(structure: GroupStructure, n: int, x: int, y: int) -> flo
                 )
                 total += Ms * (Djx * shift_y + Djy * shift_x)
     return total
-
-
-def _order_of(structure: GroupStructure, n: int) -> int:
-    n = int(n)
-    if not 1 <= n <= structure.size:
-        raise ValueError(f"order {n} not in [1, {structure.size}]")
-    order = structure.index_order(n)
-    return 0 if order is None else order
 
 
 # -- scans ------------------------------------------------------------------------

@@ -69,6 +69,8 @@ def sigma_multiplier(structure: GroupStructure, n: int, index_base: int = 0) -> 
     lambda_n(a, b) counts the diagonal partial sums containing (a, b):
     #{j in [base, n-1+base] : j > max(a, b)} / n.
     """
+    if not 1 <= n <= structure.size:
+        raise ValueError(f"mean order {n} not in [1, {structure.size}]")
     idx = np.arange(structure.size)
     top = np.maximum.outer(idx, idx)
     counts = np.clip(n - 1 + index_base - top, 0, n)
@@ -143,16 +145,11 @@ def means_error(
     structure = f.structure
     sigma = marcinkiewicz_means(f, n, "multiplier", index_base)
     error = float(abs(sigma.values[x, y] - f.values[x, y]))
-    A = structure.depth if n == structure.size else _order(structure, n)
+    A = structure.index_order(n)
     majorant = (
         sum(structure.orders[j] * w_operator_2d(f, x, y, j) for j in range(A + 1)) / n
     )
     return error, float(majorant)
-
-
-def _order(structure: GroupStructure, n: int) -> int:
-    order = structure.index_order(n)
-    return 0 if order is None else order
 
 
 def save_means_evaluation(evaluation: MeansEvaluation, path_base: str) -> tuple[str, str]:

@@ -48,6 +48,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .group import GroupStructure
+from .kernels import r_factor_table
 from .sampled import SampledFunction
 from .transform import convolve
 
@@ -60,7 +61,6 @@ __all__ = [
     "maximal_function_grid",
     "v_component",
     "v_component_grid",
-    "v_component_sup_grid",
     "v_kernel_table",
     "v_maximal",
     "v_sup_grid",
@@ -73,8 +73,10 @@ __all__ = [
 # -- shared index helpers -------------------------------------------------------
 
 
-def _coset(structure: GroupStructure, level: int, base: int = 0) -> np.ndarray:
-    return structure.interval_indices(level, base)
+def _check_points(structure: GroupStructure, *indices: int) -> None:
+    for i in indices:
+        if not 0 <= int(i) < structure.size:
+            raise ValueError(f"point index {i} not in [0, {structure.size})")
 
 
 def _shift_level(level: int, pos: int) -> int:
@@ -83,53 +85,34 @@ def _shift_level(level: int, pos: int) -> int:
 
 
 def _outer_add(structure: GroupStructure, kt: int, bt: int, ku: int, bu: int) -> np.ndarray:
-    """Cached table of t + u over I_kt(bt) x I_ku(bu)."""
-    cache = structure._cache.setdefault("domain_adds", {})
-    key = (kt, bt % structure.orders[kt], ku, bu % structure.orders[ku])
-    if key in cache:
-        return cache[key]
-    table = structure.add_outer(_coset(structure, kt, bt), _coset(structure, ku, bu))
-    if structure.size <= 256:
-        table.setflags(write=False)
-        cache[key] = table
-    return table
+    """Stored table of t + u over I_kt(bt) x I_ku(bu)."""
+    bt, bu = bt % structure.orders[kt], bu % structure.orders[ku]
+    return structure.table(
+        ("outer_add", kt, bt, ku, bu),
+        lambda: structure.add_outer(
+            structure.interval_indices(kt, bt), structure.interval_indices(ku, bu)
+        ),
+    )
 
 
 def _r_product_table(structure: GroupStructure, i: int, n: int) -> np.ndarray:
     """r_{i,n} over the grid, evaluated verbatim as a product of power sums."""
     if i > n:
         return np.ones(structure.size, dtype=np.complex128)
-    cache = structure._cache.setdefault("r_product_tables", {})
-    key = (i, n)
-    if key in cache:
-        return cache[key]
-    values = np.ones(structure.size, dtype=np.complex128)
-    for l in range(i, n + 1):
-        m = structure.radices[l]
-        digit = structure.digit_table[:, l]
-        root = structure.root_tables[l]
-        power_sum = np.zeros(structure.size, dtype=np.complex128)
-        for s in range(m):
-            power_sum += root[(s * digit) % m]
-        values *= power_sum
-    values.setflags(write=False)
-    cache[key] = values
-    return values
 
+    def build() -> np.ndarray:
+        values = np.ones(structure.size, dtype=np.complex128)
+        for l in range(i, n + 1):
+            m = structure.radices[l]
+            digit = structure.digit_table[:, l]
+            root = structure.root_tables[l]
+            power_sum = np.zeros(structure.size, dtype=np.complex128)
+            for s in range(m):
+                power_sum += root[(s * digit) % m]
+            values *= power_sum
+        return values
 
-def _indicator_table(structure: GroupStructure, lo: int, hi: int) -> np.ndarray:
-    """Boolean table over w: digits lo..hi of w all vanish (empty range: all True)."""
-    if lo > hi:
-        return np.ones(structure.size, dtype=bool)
-    cache = structure._cache.setdefault("indicator_tables", {})
-    key = (lo, hi)
-    if key in cache:
-        return cache[key]
-    w = np.arange(structure.size)
-    table = (w % structure.orders[hi + 1]) < structure.orders[lo]
-    table.setflags(write=False)
-    cache[key] = table
-    return table
+    return structure.table(("r_product", i, n), build)
 
 
 # -- the oscillation operators ---------------------------------------------------
@@ -143,13 +126,14 @@ def w_operator_1d(f: SampledFunction, x: int, A: int) -> float:
     structure = f.structure
     if not 0 <= A <= structure.depth:
         raise ValueError(f"order {A} not in [0, {structure.depth}]")
+    _check_points(structure, x)
     absdiff = np.abs(f.values - f.values[x])
     total = 0.0
     for s in range(A):
         Ms = structure.orders[s]
         for rs in range(1, structure.radices[s]):
             center = structure.sub(x, rs * Ms)
-            total += Ms * absdiff[_coset(structure, A, center)].sum() / structure.size
+            total += Ms * absdiff[structure.interval_indices(A, center)].sum() / structure.size
     return float(total)
 
 
@@ -166,12 +150,12 @@ def _w_value(
             Mk = structure.orders[k]
             weight = inv_Mj * Mq * Mk**2 / size**2
             r_table = _r_product_table(structure, k + 1, j - 1)
-            T_plain = _coset(structure, k)
+            T_plain = structure.interval_indices(k)
             subx_plain = structure.sub(x, T_plain)
             level = _shift_level(k, q)
             for shift in range(1, structure.radices[q]):
                 base = shift * Mq
-                U = _coset(structure, level, base)
+                U = structure.interval_indices(level, base)
                 suby = structure.sub(y, U)
                 r_grid = r_table[_outer_add(structure, k, 0, level, base)]
                 # u-shifted: integral over I_k x I_k(u_q e_q)
@@ -184,7 +168,7 @@ def _w_value(
                 block = absdiff[np.ix_(subx, suby_plain)] * r_grid_t
                 total += weight * block.sum().real.real
     # two boundary sums over I_j x I_i(shift) pairs
-    T_j = _coset(structure, j)
+    T_j = structure.interval_indices(j)
     subx_j = structure.sub(x, T_j)
     suby_j = structure.sub(y, T_j)
     for s in range(min(j, structure.depth - 1) + 1):
@@ -194,7 +178,7 @@ def _w_value(
             weight = Ms * Mi / size**2
             level = _shift_level(i, s)
             for shift in range(1, structure.radices[s]):
-                U = _coset(structure, level, shift * Ms)
+                U = structure.interval_indices(level, shift * Ms)
                 suby = structure.sub(y, U)
                 total += weight * absdiff[np.ix_(subx_j, suby)].sum()
                 subx = structure.sub(x, U)
@@ -209,6 +193,7 @@ def w_operator_2d(f: SampledFunction, x: int, y: int, j: int) -> float:
     structure = f.structure
     if not 0 <= j <= structure.depth:
         raise ValueError(f"order {j} not in [0, {structure.depth}]")
+    _check_points(structure, x, y)
     absdiff = np.abs(f.values - f.values[x, y])
     return _w_value(structure, absdiff, x, y, j)
 
@@ -216,6 +201,7 @@ def w_operator_2d(f: SampledFunction, x: int, y: int, j: int) -> float:
 def w_sequence(f: SampledFunction, x: int, y: int) -> np.ndarray:
     """W_1 .. W_L at one point (shared |f - f(x,y)| table)."""
     structure = f.structure
+    _check_points(structure, x, y)
     absdiff = np.abs(f.values - f.values[x, y])
     return np.array(
         [_w_value(structure, absdiff, x, y, j) for j in range(1, structure.depth + 1)]
@@ -265,14 +251,15 @@ def v_component(f: SampledFunction, x: int, y: int, n: int, comp: int) -> comple
     structure = f.structure
     if not 0 <= n <= structure.depth:
         raise ValueError(f"order {n} not in [0, {structure.depth}]")
+    _check_points(structure, x, y)
     size = structure.size
     total = 0.0 + 0j
     for weight, kt, bt, ku, bu, ind in _component_terms(structure, n, comp):
-        T = _coset(structure, kt, bt)
-        U = _coset(structure, ku, bu)
+        T = structure.interval_indices(kt, bt)
+        U = structure.interval_indices(ku, bu)
         block = f.values[np.ix_(structure.sub(x, T), structure.sub(y, U))]
         if ind is not None:
-            mask = _indicator_table(structure, *ind)[_outer_add(structure, kt, bt, ku, bu)]
+            mask = r_factor_table(structure, *ind)[_outer_add(structure, kt, bt, ku, bu)] > 0
             total += weight * block[mask].sum() / size**2
         else:
             total += weight * block.sum() / size**2
@@ -319,41 +306,30 @@ def v_kernel_table(structure: GroupStructure, n: int, comp: int) -> np.ndarray:
     """The convolution kernel H with V_n^(comp) f = f * H (group convolution).
 
     H(t, u) accumulates the term weights over the coset-pair domains, with
-    the digit-sum indicator thinning the shifted-coset sums.  Cached per
+    the digit-sum indicator thinning the shifted-coset sums.  Stored on the
     structure; cross-checked against the verbatim per-point route in tests.
     """
-    cache = structure._cache.setdefault("v_kernels", {})
-    key = (n, comp)
-    if key in cache:
-        return cache[key]
-    size = structure.size
-    H = np.zeros((size, size), dtype=np.float64)
-    for weight, kt, bt, ku, bu, ind in _component_terms(structure, n, comp):
-        T = _coset(structure, kt, bt)
-        U = _coset(structure, ku, bu)
-        block = np.full((T.size, U.size), float(weight))
-        if ind is not None:
-            mask = _indicator_table(structure, *ind)[_outer_add(structure, kt, bt, ku, bu)]
-            block = block * mask
-        H[np.ix_(T, U)] += block
-    H.setflags(write=False)
-    cache[key] = H
-    return H
+
+    def build() -> np.ndarray:
+        size = structure.size
+        H = np.zeros((size, size), dtype=np.float64)
+        for weight, kt, bt, ku, bu, ind in _component_terms(structure, n, comp):
+            T = structure.interval_indices(kt, bt)
+            U = structure.interval_indices(ku, bu)
+            block = np.full((T.size, U.size), float(weight))
+            if ind is not None:
+                mask = r_factor_table(structure, *ind)[_outer_add(structure, kt, bt, ku, bu)] > 0
+                block = block * mask
+            H[np.ix_(T, U)] += block
+        return H
+
+    return structure.table(("v_kernel", n, comp), build)
 
 
 def v_component_grid(f: SampledFunction, n: int, comp: int) -> np.ndarray:
     """V_n^(comp) f on the whole grid through the kernel-convolution route."""
     H = v_kernel_table(f.structure, n, comp)
     return convolve(f, SampledFunction(f.structure, H)).values
-
-
-def v_component_sup_grid(f: SampledFunction, comp: int) -> np.ndarray:
-    """sup_{1<=n<=L} |V_n^(comp) f| on the whole grid."""
-    structure = f.structure
-    out = np.zeros((structure.size, structure.size))
-    for n in range(1, structure.depth + 1):
-        out = np.maximum(out, np.abs(v_component_grid(f, n, comp)))
-    return out
 
 
 def v_sup_grid(f: SampledFunction) -> np.ndarray:
@@ -389,10 +365,11 @@ def maximal_function_grid(f: SampledFunction) -> np.ndarray:
 def maximal_function(f: SampledFunction, x: int, y: int) -> float:
     """Pointwise martingale maximal function."""
     structure = f.structure
+    _check_points(structure, x, y)
     best = 0.0
     for n in range(structure.depth + 1):
-        rows = _coset(structure, n, x)
-        cols = _coset(structure, n, y)
+        rows = structure.interval_indices(n, x)
+        cols = structure.interval_indices(n, y)
         best = max(best, abs(f.values[np.ix_(rows, cols)].mean()))
     return float(best)
 
@@ -445,6 +422,8 @@ def lebesgue_reports(
     from .means import marcinkiewicz_means
 
     structure = f.structure
+    for x, y in points:
+        _check_points(structure, x, y)
     sigma_tables = [
         marcinkiewicz_means(f, structure.orders[j], "multiplier", index_base).values
         for j in range(1, structure.depth + 1)

@@ -99,10 +99,12 @@ def haar_integrate(f: SampledFunction) -> complex:
 
 
 def lp_norm(f: SampledFunction, p: float) -> float:
-    """(mean of |f|^p)^(1/p) for 0 < p < infinity."""
+    """(mean of |f|^p)^(1/p) for 0 < p < infinity; max |f| for p = infinity."""
     p = float(p)
     if p <= 0:
         raise ValueError(f"invalid-exponent: p must be positive, got {p}")
+    if p == np.inf:
+        return float(np.abs(f.values).max())
     return float(np.mean(np.abs(f.values) ** p) ** (1.0 / p))
 
 
@@ -159,14 +161,22 @@ def read_csv(stream: IO[str]) -> Union[SampledFunction, Spectrum]:
     n = structure.size
     if len(rows) == n and len(rows[0]) == 3:
         values = np.zeros(n, dtype=np.complex128)
-        for idx, re, im in rows:
-            values[int(idx)] = float(re) + 1j * float(im)
     elif len(rows) == n * n and len(rows[0]) == 4:
         values = np.zeros((n, n), dtype=np.complex128)
-        for ix, iy, re, im in rows:
-            values[int(ix), int(iy)] = float(re) + 1j * float(im)
     else:
         raise ValueError(f"unexpected row count {len(rows)} for grid size {n}")
+    # as many rows as points, none out of range or repeated: every point is set
+    seen = np.zeros(values.shape, dtype=bool)
+    for number, row in enumerate(rows, start=1):
+        if len(row) != values.ndim + 2:
+            raise ValueError(f"row {number}: expected {values.ndim + 2} fields, got {row}")
+        index = tuple(int(i) for i in row[: values.ndim])
+        if not all(0 <= i < n for i in index):
+            raise ValueError(f"row {number}: index {index} not in [0, {n})")
+        if seen[index]:
+            raise ValueError(f"row {number}: repeated index {index}")
+        seen[index] = True
+        values[index] = float(row[-2]) + 1j * float(row[-1])
     if kind == "spectrum":
         return Spectrum(structure, values)
     return SampledFunction(structure, values)

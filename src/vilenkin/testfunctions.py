@@ -26,6 +26,8 @@ def _character(structure: GroupStructure, a: int = 1, b: int = 1) -> SampledFunc
 
 def _indicator(structure: GroupStructure, N: int = 1, center: int = 0) -> SampledFunction:
     N = int(N)
+    if not 0 <= N <= structure.depth:
+        raise ValueError(f"indicator depth N={N} not in [0, {structure.depth}]")
     mask = np.arange(structure.size) % structure.orders[N] == int(center) % structure.orders[N]
     return SampledFunction(structure, np.outer(mask, mask).astype(np.complex128))
 
@@ -122,5 +124,9 @@ def build_test_function(structure: GroupStructure, name: str, **params) -> Sampl
     if name not in CATALOG:
         known = ", ".join(sorted(CATALOG))
         raise ValueError(f"unknown test function {name!r}; known: {known}")
+    unknown = sorted(set(params) - set(CATALOG[name]["params"]))
+    if unknown:
+        known = ", ".join(CATALOG[name]["params"])
+        raise ValueError(f"unknown parameter(s) {', '.join(unknown)} for {name!r}; known: {known}")
     build: Callable = CATALOG[name]["build"]
     return build(structure, **params)

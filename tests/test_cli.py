@@ -112,3 +112,31 @@ def test_unknown_function_rejected(capsys):
     code, _, err = run_cli(capsys, "convergence", "--radices", "2,3", "--fn", "mystery")
     assert code == 2
     assert "unknown test function" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("convergence", "--radices", "2,3", "--fn", "indicator:N=9"), "indicator depth N=9"),
+        (("convergence", "--radices", "2,3", "--fn", "indicator:bogus=1"), "unknown parameter(s) bogus"),
+        (("verify-operators", "--radices", "2,3", "--points", "-3"), "--points must be >= 1"),
+        (("convergence", "--radices", "2,3", "--points", "0"), "--points must be >= 1"),
+        (("atoms", "--radices", "2,3", "--depth", "1"), "atoms needs depth >= 2"),
+    ],
+)
+def test_bad_config_exits_2_with_one_line_error(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+def test_missing_out_directory_exits_2(tmp_path, capsys):
+    missing = tmp_path / "missing" / "x.json"
+    for argv in (("list-functions",), ("estimates", "--radices", "2", "--depth", "2")):
+        code, out, err = run_cli(capsys, *argv, "--out", str(missing))
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "does not exist" in err
+    assert not missing.parent.exists()

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from vilenkin import group
 from vilenkin import (
     GroupStructure,
     SampledFunction,
@@ -69,6 +70,11 @@ def test_index_roundtrip_and_order_bracket():
         if n > 0:
             k = idx.order
             assert s.orders[k] <= n < s.orders[k + 1]
+            assert s.index_order(n) == k
+    assert s.index_order(s.size) == s.depth
+    for bad in (0, s.size + 1):
+        with pytest.raises(ValueError, match="order"):
+            s.index_order(bad)
 
 
 def test_index_overflow():
@@ -154,8 +160,40 @@ def test_lp_norm_validates_exponent():
     s = make_structure((2, 3))
     f = SampledFunction(s, np.ones(s.size))
     assert lp_norm(f, 2.0) == pytest.approx(1.0)
+    g = SampledFunction(s, np.arange(s.size) - 4.0)
+    assert lp_norm(g, np.inf) == 4.0
     with pytest.raises(ValueError, match="invalid-exponent"):
         lp_norm(f, 0.0)
+
+
+def test_table_store_returns_one_read_only_table():
+    s = make_structure((2, 3))
+    built = []
+
+    def build():
+        built.append(1)
+        return np.arange(4.0)
+
+    first = s.table("t", build)
+    assert s.table("t", build) is first
+    assert len(built) == 1
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0] = 1.0
+
+
+def test_table_store_stays_within_budget(monkeypatch):
+    monkeypatch.setattr(group, "TABLE_BUDGET_BYTES", 100)
+    s = make_structure((2, 3))
+    small = s.table("small", lambda: np.zeros(8))  # 64 bytes
+    big = s.table("big", lambda: np.zeros(16))  # 128 bytes: over the budget alone
+    assert big.shape == (16,) and not big.flags.writeable
+    assert s.table("big", lambda: np.zeros(16)) is not big
+    rest = s.table("rest", lambda: np.zeros(5))  # 40 bytes: 104 in all, over the budget
+    assert s.table("rest", lambda: np.zeros(5)) is not rest
+    assert s.table("small", lambda: np.ones(8)) is small
+    assert s.table("last", lambda: np.zeros(4)) is s.table("last", lambda: np.ones(4))
+    assert sum(t.nbytes for t in s._tables.values()) == 96 <= group.TABLE_BUDGET_BYTES
 
 
 def test_structure_equality_and_hash():

@@ -66,3 +66,21 @@ def test_csv_malformed_inputs():
         loads_csv("radices=2,3;depth=3\n")
     with pytest.raises(ValueError, match="row count"):
         loads_csv("radices=2,3;depth=2\n0,1.0,0.0\n")
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (["-1,1.0,0.0"] + [f"{i},1.0,0.0" for i in range(1, 6)], r"row 1: index \(-1,\) not in"),
+        ([f"{i},1.0,0.0" for i in range(5)] + ["6,1.0,0.0"], r"row 6: index \(6,\) not in"),
+        ([f"{i},1.0,0.0" for i in range(5)] + ["4,2.0,0.0"], r"row 6: repeated index \(4,\)"),
+        (
+            [f"{x},{y},1.0,0.0" for x in range(6) for y in range(6)][:-1] + ["0,0,2.0,0.0"],
+            r"row 36: repeated index \(0, 0\)",
+        ),
+        ([f"{i},1.0,0.0" for i in range(5)] + ["5,1.0"], r"row 6: expected 3 fields"),
+    ],
+)
+def test_csv_rejects_bad_indices(rows, message):
+    with pytest.raises(ValueError, match=message):
+        loads_csv("radices=2,3;depth=2\n" + "\n".join(rows) + "\n")

@@ -130,8 +130,9 @@ def test_kernel_decomposition_tail_breaks_identity():
     # the extra additive coupling-factor tail double-counts the bottom level
     s = make_structure((2, 2))
     kernel = s.orders[2] * marcinkiewicz_kernel(s, s.orders[2]).values
+    tail = r_factor_table(s, 1, 1)
     worst = max(
-        abs(kernel_decomposition_rhs(s, 2, x, y, include_tail=True) - kernel[x, y])
+        abs(kernel_decomposition_rhs(s, 2, x, y) + tail[s.add(x, y)] - kernel[x, y])
         for x in range(s.size)
         for y in range(s.size)
     )

@@ -11,6 +11,7 @@ from vilenkin import (
     marcinkiewicz_means,
     means_error,
     partial_sum_2d,
+    sigma_multiplier,
     translate,
     vilenkin_column,
 )
@@ -220,5 +221,8 @@ def test_method_and_order_validation(rng):
         marcinkiewicz_means(f, s.size + 1)
     with pytest.raises(ValueError):
         marcinkiewicz_means(f, 2, method="magic")
+    for bad in (0, s.size + 1):
+        with pytest.raises(ValueError, match="mean order"):
+            sigma_multiplier(s, bad)
     with pytest.raises(ValueError):
         marcinkiewicz_means(random_sample(make_structure((2, 3)), rng, arity=1), 2)

@@ -208,3 +208,23 @@ def test_random_function_fraction_reported(rng):
     reports = lebesgue_reports(f, [(x, y) for x in range(3) for y in range(3)])
     verdicts = {r.verdict for r in reports}
     assert verdicts <= {"converging", "non-converging", "inconclusive"}
+
+
+def test_point_indices_out_of_range_rejected(rng):
+    s = make_structure((2, 3))
+    f = random_sample(s, rng)
+    f1 = random_sample(s, rng, arity=1)
+    for bad in (-1, s.size):
+        calls = [
+            lambda: w_operator_1d(f1, bad, 1),
+            lambda: w_operator_2d(f, bad, 0, 1),
+            lambda: w_operator_2d(f, 0, bad, 1),
+            lambda: w_sequence(f, bad, 0),
+            lambda: v_component(f, 0, bad, 1, 1),
+            lambda: classify_point(f, bad, 0),
+            lambda: lebesgue_reports(f, [(0, 0), (0, bad)]),
+            lambda: maximal_function(f, bad, 0),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="point index"):
+                call()
