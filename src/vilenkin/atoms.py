@@ -242,8 +242,12 @@ def weak_type_check(
 
 
 def hardy_quasinorm(f: SampledFunction, p: float) -> float:
-    """||f||_{H_p} = ||f*||_p with f* the martingale maximal function."""
+    """||f||_{H_p} = ||f*||_p with f* the martingale maximal function;
+    sup f* for p = infinity."""
+    p = float(p)
     if p <= 0:
         raise ValueError(f"invalid-exponent: p must be positive, got {p}")
     star = maximal_function_grid(f)
+    if p == np.inf:
+        return float(star.max())
     return float(np.mean(star**p) ** (1.0 / p))

@@ -103,6 +103,8 @@ class GroupStructure:
         self.size = orders[-1]
         self._tables: dict = {}
         self._table_bytes = 0
+        self._table_hits = 0
+        self._table_misses = 0
 
     # -- identity ----------------------------------------------------------
 
@@ -224,19 +226,33 @@ class GroupStructure:
         TABLE_BUDGET_BYTES; once the budget is spent, later tables are
         returned without being kept.  Nothing is evicted, so a scan that walks
         the same keys on every call keeps hitting the tables it kept first.
+        A lookup that finds a kept table is a hit; one that builds is a miss.
         """
         stored = self._tables.get(key)
         if stored is not None:
+            self._table_hits += 1
             return stored
         table = build()
         table.setflags(write=False)
         with _TABLE_LOCK:
+            self._table_misses += 1
             if key in self._tables:
                 return self._tables[key]
             if self._table_bytes + table.nbytes <= TABLE_BUDGET_BYTES:
                 self._tables[key] = table
                 self._table_bytes += table.nbytes
         return table
+
+    def table_stats(self) -> dict:
+        """Counters of the table store: lookups that hit and missed, and the
+        number and bytes of the tables kept.  Hits taken concurrently from
+        several threads may be undercounted; misses are counted exactly."""
+        return {
+            "hits": self._table_hits,
+            "misses": self._table_misses,
+            "tables": len(self._tables),
+            "bytes": self._table_bytes,
+        }
 
     # -- root-of-unity tables ---------------------------------------------------
 

@@ -242,16 +242,25 @@ def kernel_decomposition_rhs(
 
 def fejer_value(structure: GroupStructure, n: int, x: int) -> complex:
     """K_n(x) looked up from a stored 1-D kernel table."""
-    table = structure.table(("fejer", n), lambda: fejer_kernel_1d(structure, n).values)
-    return complex(table[x])
+    return complex(_fejer_table(structure, n)[x])
+
+
+def _fejer_table(structure: GroupStructure, n: int) -> np.ndarray:
+    return structure.table(("fejer", n), lambda: fejer_kernel_1d(structure, n).values)
 
 
 # -- estimate majorants ----------------------------------------------------------
+#
+# Each majorant takes a point index or index arrays that broadcast against each
+# other, and sums the same terms in the same order at every element, so an
+# array call equals the scalar calls at its elements to the last bit.  Terms
+# that vanish at a point are added as exact zeros, which leave a non-negative
+# total unchanged.
 
 
 def block_shift_majorant(
-    structure: GroupStructure, A: int, x: int, *, include_diagonal_shift: bool = True
-) -> float:
+    structure: GroupStructure, A: int, x: int | np.ndarray, *, include_diagonal_shift: bool = True
+) -> float | np.ndarray:
     """Shifted block-kernel majorant for |K_{M_A}(x)|:
 
         sum_{s<=S} (M_s / M_A) sum_{x_s=1}^{m_s-1} D_{M_A}(x - x_s e_s)
@@ -270,27 +279,34 @@ def block_shift_majorant(
         weight = structure.orders[s] / MA
         for xs in range(1, structure.radices[s]):
             z = structure.sub(x, xs * structure.orders[s])
-            total += weight * float(block_dirichlet(structure, A, z))
+            total += weight * block_dirichlet(structure, A, z)
     return total
 
 
-def scale_sum_majorant(structure: GroupStructure, n: int, x: int) -> float:
+def scale_sum_majorant(
+    structure: GroupStructure, n: int, x: int | np.ndarray
+) -> float | np.ndarray:
     """Block Fejer majorant for n |K_n(x)|: sum_{j<=A} M_j |K_{M_j}(x)|."""
     A = structure.index_order(n)
     total = 0.0
     for j in range(A + 1):
         Mj = structure.orders[j]
-        total += Mj * abs(fejer_value(structure, Mj, x))
+        K = _fejer_table(structure, Mj)[x]
+        # hypot is the modulus Python's abs(complex) computes; np.abs may
+        # differ from it in the last bit
+        total += Mj * np.hypot(K.real, K.imag)
     return total
 
 
-def double_shift_majorant(structure: GroupStructure, n: int, x: int) -> float:
+def double_shift_majorant(
+    structure: GroupStructure, n: int, x: int | np.ndarray
+) -> float | np.ndarray:
     """Doubly-indexed shift majorant for n |K_n(x)|:
 
         sum_{j<=A} sum_{s<=j} M_s sum_{x_s} D_{M_j}(x - x_s e_s)
 
     evaluated in both summation orders (they agree by Fubini; an assertion
-    guards the reordering).
+    guards the reordering at every point).
     """
     A = structure.index_order(n)
     first = 0.0
@@ -299,20 +315,22 @@ def double_shift_majorant(structure: GroupStructure, n: int, x: int) -> float:
             Ms = structure.orders[s]
             for xs in range(1, structure.radices[s]):
                 z = structure.sub(x, xs * structure.orders[s])
-                first += Ms * float(block_dirichlet(structure, j, z))
+                first += Ms * block_dirichlet(structure, j, z)
     second = 0.0
     for s in range(min(A, structure.depth - 1) + 1):
         Ms = structure.orders[s]
         for j in range(s, A + 1):
             for xs in range(1, structure.radices[s]):
                 z = structure.sub(x, xs * structure.orders[s])
-                second += Ms * float(block_dirichlet(structure, j, z))
-    if abs(first - second) > 1e-9 * max(1.0, abs(first)):
+                second += Ms * block_dirichlet(structure, j, z)
+    if np.any(np.abs(first - second) > 1e-9 * np.maximum(1.0, np.abs(first))):
         raise AssertionError("summation reorderings disagree")
     return first
 
 
-def kernel_majorant_2d(structure: GroupStructure, n: int, x: int, y: int) -> float:
+def kernel_majorant_2d(
+    structure: GroupStructure, n: int, x: int | np.ndarray, y: int | np.ndarray
+) -> float | np.ndarray:
     """Four-sum majorant for n |K_n(x, y)| with r-weights and block shifts."""
     A = structure.index_order(n)
     w = structure.add(x, y)
@@ -323,35 +341,31 @@ def kernel_majorant_2d(structure: GroupStructure, n: int, x: int, y: int) -> flo
             Mq = structure.orders[q]
             for k in range(q, j):
                 r = r_factor_table(structure, k + 1, j - 1)[w]
-                if r == 0.0:
-                    continue
-                Dx = float(block_dirichlet(structure, k, x))
-                Dy = float(block_dirichlet(structure, k, y))
+                Dx = block_dirichlet(structure, k, x)
+                Dy = block_dirichlet(structure, k, y)
                 shift_y = sum(
-                    float(block_dirichlet(structure, k, structure.sub(y, yq * Mq)))
+                    block_dirichlet(structure, k, structure.sub(y, yq * Mq))
                     for yq in range(1, structure.radices[q])
                 )
                 shift_x = sum(
-                    float(block_dirichlet(structure, k, structure.sub(x, xq * Mq)))
+                    block_dirichlet(structure, k, structure.sub(x, xq * Mq))
                     for xq in range(1, structure.radices[q])
                 )
                 total += r * Mq * (Dx * shift_y + Dy * shift_x)
     # two boundary groups: block kernel at level j on one axis, single-shift
     # majorant blocks on the other
     for j in range(A + 1):
-        Djx = float(block_dirichlet(structure, j, x))
-        Djy = float(block_dirichlet(structure, j, y))
-        if Djx == 0.0 and Djy == 0.0:
-            continue
+        Djx = block_dirichlet(structure, j, x)
+        Djy = block_dirichlet(structure, j, y)
         for s in range(min(j, structure.depth - 1) + 1):
             Ms = structure.orders[s]
             for i in range(s, j + 1):
                 shift_y = sum(
-                    float(block_dirichlet(structure, i, structure.sub(y, ys * Ms)))
+                    block_dirichlet(structure, i, structure.sub(y, ys * Ms))
                     for ys in range(1, structure.radices[s])
                 )
                 shift_x = sum(
-                    float(block_dirichlet(structure, i, structure.sub(x, xs * Ms)))
+                    block_dirichlet(structure, i, structure.sub(x, xs * Ms))
                     for xs in range(1, structure.radices[s])
                 )
                 total += Ms * (Djx * shift_y + Djy * shift_x)
@@ -383,41 +397,30 @@ def estimate_scan(
 
     Orders run over A in [1, L-1] for est1 and n in [1, M_L) for the others,
     so every shifted block kernel stays representable on the truncated grid.
+    A majorant depends on n only through its level A = |n|, so each is
+    evaluated once per level, on the whole grid at once.
     """
     report = EstimateReport(estimate, structure.radices, structure.depth)
-    size = structure.size
-    xs = np.arange(size)
+    xs = np.arange(structure.size)
     if estimate == "est1":
         for A in range(1, structure.depth):
-            lhs = np.abs(
-                np.array([fejer_value(structure, structure.orders[A], x) for x in xs])
-            )
-            rhs = np.array(
-                [
-                    block_shift_majorant(structure, A, x, include_diagonal_shift=include_diagonal_shift)
-                    for x in xs
-                ]
+            lhs = np.abs(_fejer_table(structure, structure.orders[A]))
+            rhs = block_shift_majorant(
+                structure, A, xs, include_diagonal_shift=include_diagonal_shift
             )
             report.per_order.append(_ratio_row(A, lhs, rhs, tol))
         return report
-    if estimate == "est2":
-        for n in range(1, size):
-            lhs = n * np.abs(fejer_kernel_1d(structure, n).values)
-            rhs = np.array([scale_sum_majorant(structure, n, x) for x in xs])
+    if estimate in ("est2", "fejer"):
+        kernel, grid = fejer_kernel_1d, (xs,)
+        majorant = scale_sum_majorant if estimate == "est2" else double_shift_majorant
+    elif estimate == "lemma2":
+        kernel, grid = marcinkiewicz_kernel, (xs[:, None], xs[None, :])
+        majorant = kernel_majorant_2d
+    else:
+        raise ValueError(f"unknown estimate id {estimate!r}")
+    for A in range(structure.depth):
+        rhs = majorant(structure, structure.orders[A], *grid)
+        for n in range(structure.orders[A], structure.orders[A + 1]):
+            lhs = n * np.abs(kernel(structure, n).values)
             report.per_order.append(_ratio_row(n, lhs, rhs, tol))
-        return report
-    if estimate == "fejer":
-        for n in range(1, size):
-            lhs = n * np.abs(fejer_kernel_1d(structure, n).values)
-            rhs = np.array([double_shift_majorant(structure, n, x) for x in xs])
-            report.per_order.append(_ratio_row(n, lhs, rhs, tol))
-        return report
-    if estimate == "lemma2":
-        for n in range(1, size):
-            lhs = n * np.abs(marcinkiewicz_kernel(structure, n).values)
-            rhs = np.array(
-                [[kernel_majorant_2d(structure, n, x, y) for y in xs] for x in xs]
-            )
-            report.per_order.append(_ratio_row(n, lhs.ravel(), rhs.ravel(), tol))
-        return report
-    raise ValueError(f"unknown estimate id {estimate!r}")
+    return report

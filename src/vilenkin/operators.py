@@ -79,6 +79,11 @@ def _check_points(structure: GroupStructure, *indices: int) -> None:
             raise ValueError(f"point index {i} not in [0, {structure.size})")
 
 
+def _check_order(structure: GroupStructure, n: int) -> None:
+    if not 0 <= n <= structure.depth:
+        raise ValueError(f"order {n} not in [0, {structure.depth}]")
+
+
 def _shift_level(level: int, pos: int) -> int:
     """Coset level that actually pins the shifted digit at ``pos``."""
     return level if pos < level else level + 1
@@ -249,8 +254,7 @@ def v_component(f: SampledFunction, x: int, y: int, n: int, comp: int) -> comple
     if f.arity != 2:
         raise ValueError("v_component needs a 2-D sample")
     structure = f.structure
-    if not 0 <= n <= structure.depth:
-        raise ValueError(f"order {n} not in [0, {structure.depth}]")
+    _check_order(structure, n)
     _check_points(structure, x, y)
     size = structure.size
     total = 0.0 + 0j
@@ -309,6 +313,7 @@ def v_kernel_table(structure: GroupStructure, n: int, comp: int) -> np.ndarray:
     the digit-sum indicator thinning the shifted-coset sums.  Stored on the
     structure; cross-checked against the verbatim per-point route in tests.
     """
+    _check_order(structure, n)
 
     def build() -> np.ndarray:
         size = structure.size

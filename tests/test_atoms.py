@@ -7,6 +7,7 @@ from vilenkin import (
     lp_norm,
     make_atom,
     make_structure,
+    maximal_function_grid,
     quasilocality_integral,
     translate,
     v_sup_grid,
@@ -183,3 +184,13 @@ def test_hardy_quasinorm_properties(rng):
     assert hardy_quasinorm(atom.function, 1.0) >= lp_norm(atom.function, 1.0) - 1e-12
     with pytest.raises(ValueError):
         hardy_quasinorm(f, 0.0)
+
+
+def test_hardy_quasinorm_at_infinity_is_the_sup_of_the_maximal_function(rng):
+    s = make_structure((2, 3))
+    for c in (3.0, 0.5, -1.5 + 2j):
+        constant = SampledFunction(s, np.full((s.size, s.size), c))
+        assert hardy_quasinorm(constant, np.inf) == pytest.approx(abs(c), abs=1e-12)
+    f = random_sample(s, rng)
+    assert hardy_quasinorm(f, np.inf) == maximal_function_grid(f).max()
+    assert hardy_quasinorm(f, np.inf) >= lp_norm(f, np.inf) - 1e-12

@@ -1,4 +1,6 @@
 import itertools
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -194,6 +196,51 @@ def test_table_store_stays_within_budget(monkeypatch):
     assert s.table("small", lambda: np.ones(8)) is small
     assert s.table("last", lambda: np.zeros(4)) is s.table("last", lambda: np.ones(4))
     assert sum(t.nbytes for t in s._tables.values()) == 96 <= group.TABLE_BUDGET_BYTES
+
+
+def test_table_store_counts_hits_misses_and_kept_bytes(monkeypatch):
+    monkeypatch.setattr(group, "TABLE_BUDGET_BYTES", 100)
+    s = make_structure((2, 3))
+    assert s.table_stats() == {"hits": 0, "misses": 0, "tables": 0, "bytes": 0}
+    s.table("small", lambda: np.zeros(8))  # 64 bytes: kept
+    s.table("small", lambda: np.zeros(8))
+    s.table("big", lambda: np.zeros(16))  # 128 bytes: over the budget, not kept
+    s.table("big", lambda: np.zeros(16))
+    s.table("last", lambda: np.zeros(4))  # 32 bytes: kept
+    stats = s.table_stats()
+    assert stats == {"hits": 1, "misses": 4, "tables": 2, "bytes": 96}
+    stats["hits"] = 99  # a copy: the store's counters are not writable through it
+    assert s.table_stats()["hits"] == 1
+    assert make_structure((2, 3)).table_stats()["misses"] == 0
+
+
+def test_table_store_counts_misses_exactly_under_threads():
+    s = make_structure((2, 3))
+    builds = []
+
+    def build():
+        builds.append(1)
+        return np.zeros(1)
+
+    def lookups():
+        for i in range(400):
+            s.table(i % 10, build)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=lookups) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    stats = s.table_stats()
+    assert stats["misses"] == len(builds) >= 10
+    assert stats["tables"] == 10 and stats["bytes"] == 80
+    assert stats["hits"] <= 8 * 400 - stats["misses"]
 
 
 def test_structure_equality_and_hash():

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,8 @@ from vilenkin import (
     r_factor_table,
     scale_sum_majorant,
 )
+
+from vilenkin.kernels import fejer_value
 
 from conftest import oracle_dirichlet
 
@@ -233,3 +238,44 @@ def test_scale_sum_majorant_dominated_scan():
             rhs = scale_sum_majorant(s, n, x)
             if rhs == 0:
                 assert kernel[x] < 1e-9
+
+
+# rows of the five scans of `vilenkin estimates` at (2,3) depth 4, written by
+# the per-point scan; the whole-grid scan must reproduce them to the last bit
+ESTIMATE_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "estimates.json"
+
+
+@pytest.mark.parametrize("radices, depth", [((2, 3), 3), ((3,), 3), ((2,), 5)])
+def test_whole_grid_majorants_equal_their_scalar_calls(radices, depth):
+    s = make_structure(radices, depth)
+    xs = np.arange(s.size)
+    points = range(s.size)
+    for A in range(1, s.depth + 1):
+        for diagonal in (True, False):
+            grid = block_shift_majorant(s, A, xs, include_diagonal_shift=diagonal)
+            scalar = [block_shift_majorant(s, A, x, include_diagonal_shift=diagonal) for x in points]
+            assert all(isinstance(v, float) for v in scalar)
+            assert grid.tolist() == scalar
+    for A in range(s.depth):
+        n = s.orders[A]
+        # the modulus of the verbatim per-point sum is Python's abs(complex)
+        verbatim = [
+            sum(s.orders[j] * abs(fejer_value(s, s.orders[j], x)) for j in range(A + 1)) for x in points
+        ]
+        assert [scale_sum_majorant(s, n, x) for x in points] == verbatim
+        for majorant in (scale_sum_majorant, double_shift_majorant):
+            scalar = [majorant(s, n, x) for x in points]
+            assert all(isinstance(v, float) for v in scalar)
+            assert majorant(s, n, xs).tolist() == scalar
+        grid = kernel_majorant_2d(s, n, xs[:, None], xs[None, :])
+        assert grid.shape == (s.size, s.size)
+        assert grid.tolist() == [[kernel_majorant_2d(s, n, x, y) for y in points] for x in points]
+
+
+def test_estimate_scan_rows_equal_the_reference():
+    reference = json.loads(ESTIMATE_REFERENCE.read_text(encoding="utf-8"))
+    s = make_structure(reference["radices"])
+    for label, rows in reference["rows"].items():
+        estimate, _, convention = label.partition("_")
+        report = estimate_scan(s, estimate, include_diagonal_shift=convention != "without_diagonal_shift")
+        assert report.per_order == rows, label

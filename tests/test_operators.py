@@ -18,6 +18,8 @@ from vilenkin import (
     w_sequence,
 )
 
+from vilenkin.operators import v_kernel_table
+
 from conftest import random_sample
 
 
@@ -228,3 +230,17 @@ def test_point_indices_out_of_range_rejected(rng):
         for call in calls:
             with pytest.raises(ValueError, match="point index"):
                 call()
+
+
+def test_v_orders_out_of_range_rejected_before_anything_is_stored(rng):
+    s = make_structure((2, 3), 3)
+    f = random_sample(s, rng)
+    for bad in (-1, s.depth + 1):
+        for comp in range(1, 5):
+            with pytest.raises(ValueError, match="order"):
+                v_kernel_table(s, bad, comp)
+            with pytest.raises(ValueError, match="order"):
+                v_component_grid(f, bad, comp)
+            with pytest.raises(ValueError, match="order"):
+                v_component(f, 0, 0, bad, comp)
+    assert s.table_stats()["tables"] == 0
