@@ -45,7 +45,7 @@ from .operators import (
 )
 from .sampled import SampledFunction, lp_norm
 from .testfunctions import build_test_function, list_test_functions, parse_fn_spec
-from .transform import forward, naive_forward
+from .transform import digit_blocks, forward, naive_forward
 
 EXPERIMENTS = (
     "verify-kernels",
@@ -324,6 +324,8 @@ def run_transform_bench(structure: GroupStructure, args) -> dict:
         "radices": list(structure.radices),
         "depth": structure.depth,
         "grid": structure.size,
+        # the digit blocks the fast path applied, in C-axis order
+        "blocks": [list(block) for block in digit_blocks(structure)],
         "rows": [
             {
                 "op": "forward-1d",

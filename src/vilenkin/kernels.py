@@ -274,7 +274,8 @@ def block_shift_majorant(
     s_top = A if include_diagonal_shift else A - 1
     s_top = min(s_top, structure.depth - 1)
     MA = structure.orders[A]
-    total = 0.0
+    # zeros shaped like x, so a sum without terms is an array for an array x
+    total = np.zeros(np.shape(x))[()]
     for s in range(s_top + 1):
         weight = structure.orders[s] / MA
         for xs in range(1, structure.radices[s]):

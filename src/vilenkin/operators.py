@@ -49,8 +49,8 @@ import numpy as np
 
 from .group import GroupStructure
 from .kernels import r_factor_table
-from .sampled import SampledFunction
-from .transform import convolve
+from .sampled import SampledFunction, Spectrum
+from .transform import convolve, forward, inverse
 
 __all__ = [
     "LebesgueReport",
@@ -338,13 +338,16 @@ def v_component_grid(f: SampledFunction, n: int, comp: int) -> np.ndarray:
 
 
 def v_sup_grid(f: SampledFunction) -> np.ndarray:
-    """V f = sup_{1<=n<=L} |V_n f| on the whole grid (components summed first)."""
+    """V f = sup_{1<=n<=L} |V_n f| on the whole grid.
+
+    V_n f = f * (H_1 + ... + H_4) by linearity, so each order takes one
+    convolution with the summed kernel, which is built per call, not stored.
+    """
     structure = f.structure
     out = np.zeros((structure.size, structure.size))
     for n in range(1, structure.depth + 1):
-        total = np.zeros((structure.size, structure.size), dtype=np.complex128)
-        for comp in range(1, 5):
-            total += v_component_grid(f, n, comp)
+        kernel = sum(v_kernel_table(structure, n, comp) for comp in range(1, 5))
+        total = convolve(f, SampledFunction(structure, kernel)).values
         out = np.maximum(out, np.abs(total))
     return out
 
@@ -423,22 +426,31 @@ def lebesgue_reports(
     escape_factor: float = 10.0,
     index_base: int = 0,
 ) -> list[LebesgueReport]:
-    """Classify several points, sharing the per-order mean tables."""
-    from .means import marcinkiewicz_means
+    """Classify several points, sharing one transform of f.
 
+    The mean of order M_j is the multiplier route of ``marcinkiewicz_means``
+    applied to that transform.
+    """
+    from .means import sigma_multiplier
+
+    if f.arity != 2:
+        raise ValueError("lebesgue_reports needs a 2-D sample")
+    if index_base not in (0, 1):
+        raise ValueError("index_base must be 0 or 1")
     structure = f.structure
     for x, y in points:
         _check_points(structure, x, y)
-    sigma_tables = [
-        marcinkiewicz_means(f, structure.orders[j], "multiplier", index_base).values
-        for j in range(1, structure.depth + 1)
-    ]
+    xs, ys = np.array(points, dtype=np.intp).reshape(-1, 2).T
+    coeffs = forward(f).coefficients
+    # the mean grids are read at the points only, so none of them is kept
+    sigma_errors = np.empty((structure.depth, len(xs)))
+    for j in range(1, structure.depth + 1):
+        order = structure.orders[j]
+        mean = inverse(Spectrum(structure, coeffs * sigma_multiplier(structure, order, index_base)))
+        sigma_errors[j - 1] = np.abs(mean.values[xs, ys] - f.values[xs, ys])
     reports = []
-    for x, y in points:
+    for i, (x, y) in enumerate(points):
         w = w_sequence(f, x, y)
-        errors = tuple(
-            float(abs(table[x, y] - f.values[x, y])) for table in sigma_tables
-        )
         reports.append(
             LebesgueReport(
                 x=int(x),
@@ -446,7 +458,7 @@ def lebesgue_reports(
                 x_digits=structure.digits(x),
                 y_digits=structure.digits(y),
                 w_values=tuple(float(v) for v in w),
-                sigma_errors=errors,
+                sigma_errors=tuple(float(e) for e in sigma_errors[:, i]),
                 verdict=_verdict(w, threshold, escape_factor),
             )
         )

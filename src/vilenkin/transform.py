@@ -5,15 +5,22 @@ Analysis carries the Haar weight,
     fhat(n) = (1/M_L) sum_x f(x) conj(psi_n(x)),
 
 synthesis carries none, and with that normalization the convolution theorem
-is (f * g)^ = fhat * ghat exactly.  The fast path reshapes the sample to one
-axis per coordinate (digit 0 on the last axis, matching the mixed-radix
-layout) and runs a length-m_k DFT along each axis; the mixed-radix butterfly
-stages are delegated to numpy's pocketfft, which handles arbitrary axis
-lengths.  A naive O(M_L^2) summation path is kept as the oracle and the
-benchmark baseline.
+is (f * g)^ = fhat * ghat exactly.  The character table is the Kronecker
+product of the DFT matrices of the coordinates (Chrestenson 1955; Van Loan,
+Computational Frameworks for the FFT, 1992, ch. 1), so the fast path groups
+the digits, highest first as they lie in the C layout, into blocks of at most
+BLOCK_POINTS points and applies each block as one dense Kronecker product of
+small DFT matrices, stored on the structure.  Each contraction turns the
+block's axis to the back, so after one pass over the blocks of every grid
+axis the layout is back in place.  A radix above BLOCK_POINTS is a block by
+itself and runs through numpy's FFT along its one axis.  A naive O(M_L^2)
+summation path is kept as the oracle and the benchmark baseline.
 """
 
 from __future__ import annotations
+
+from functools import reduce
+from math import prod
 
 import numpy as np
 
@@ -22,7 +29,9 @@ from .group import GroupStructure
 from .sampled import SampledFunction, Spectrum, require_same_structure
 
 __all__ = [
+    "BLOCK_POINTS",
     "convolve",
+    "digit_blocks",
     "forward",
     "inverse",
     "naive_convolve",
@@ -32,36 +41,73 @@ __all__ = [
 ]
 
 
-def _axes_shape(structure: GroupStructure) -> tuple[int, ...]:
-    # digit 0 varies fastest, so it must land on the last (fastest) C axis
-    return tuple(reversed(structure.radices))
+# largest block of digits applied as one dense Kronecker matrix
+BLOCK_POINTS = 64
+
+
+def digit_blocks(structure: GroupStructure) -> tuple[tuple[int, ...], ...]:
+    """The radices in C-axis order (digit L-1 first), grouped greedily into
+    blocks of at most BLOCK_POINTS points; a larger radix is a block alone."""
+    blocks: list[tuple[int, ...]] = []
+    block: tuple[int, ...] = ()
+    for m in reversed(structure.radices):
+        if block and prod(block) * m > BLOCK_POINTS:
+            blocks.append(block)
+            block = ()
+        block += (m,)
+    blocks.append(block)
+    return tuple(blocks)
+
+
+def _block_matrix(structure: GroupStructure, block: tuple[int, ...], sign: int) -> np.ndarray:
+    """Kronecker product of the DFT_m matrices exp(sign 2 pi i jk / m) of a
+    block; symmetric, so it acts the same from either side."""
+
+    def build() -> np.ndarray:
+        factors = []
+        for m in block:
+            r = np.arange(m)
+            factors.append(np.exp(sign * 2j * np.pi * (np.outer(r, r) % m) / m))
+        return reduce(np.kron, factors)
+
+    return structure.table(("dft_block", block, sign), build)
+
+
+def _chrestenson(values: np.ndarray, structure: GroupStructure, sign: int) -> np.ndarray:
+    """Unnormalized transform of every grid axis, with kernel exp(sign 2 pi i ...).
+
+    Each step contracts the leading block axis of the C-contiguous array and
+    appends the result's axis at the back, so the next block comes to the
+    front and every step is one matrix product on a (block, rest) view.
+    """
+    out = values
+    for block in digit_blocks(structure) * values.ndim:
+        points = prod(block)
+        front = out.reshape(points, -1)
+        if points > BLOCK_POINTS:
+            if sign < 0:
+                out = np.fft.fft(front.T, axis=1)
+            else:
+                out = np.fft.ifft(front.T, axis=1, norm="forward")
+            out = np.ascontiguousarray(out)
+        else:
+            out = np.tensordot(front, _block_matrix(structure, block, sign), axes=(0, 0))
+    return out.reshape(values.shape)
 
 
 def forward(f: SampledFunction) -> Spectrum:
     """Vilenkin-Fourier analysis of a 1-D or 2-D grid sample."""
     structure = f.structure
-    shape = _axes_shape(structure)
-    n = structure.size
-    if f.arity == 1:
-        coeffs = np.fft.fftn(f.values.reshape(shape)).reshape(n) / n
-    else:
-        coeffs = np.fft.fftn(f.values.reshape(shape + shape)).reshape(n, n) / n**2
+    coeffs = _chrestenson(f.values, structure, -1)
+    coeffs /= structure.size**f.arity
     return Spectrum(structure, coeffs)
 
 
 def inverse(spectrum: Spectrum) -> SampledFunction:
     """Synthesis sum_n fhat(n) psi_n(x) (tensor version in 2-D)."""
-    structure = spectrum.structure
-    shape = _axes_shape(structure)
-    n = structure.size
-    if spectrum.arity == 1:
-        values = np.fft.ifftn(spectrum.coefficients.reshape(shape)).reshape(n) * n
-    else:
-        values = (
-            np.fft.ifftn(spectrum.coefficients.reshape(shape + shape)).reshape(n, n)
-            * n**2
-        )
-    return SampledFunction(structure, values)
+    return SampledFunction(
+        spectrum.structure, _chrestenson(spectrum.coefficients, spectrum.structure, 1)
+    )
 
 
 def naive_forward(f: SampledFunction) -> Spectrum:

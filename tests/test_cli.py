@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -84,6 +85,8 @@ def test_transform_bench_speedup(capsys):
     row = payload["rows"][0]
     assert row["max_error"] < 1e-12
     assert row["speedup"] > 10.0
+    assert payload["blocks"] == [[3, 2, 3, 2], [3, 2, 3, 2]]
+    assert math.prod(m for block in payload["blocks"] for m in block) == payload["grid"]
 
 
 def test_list_functions_catalog(capsys):

@@ -250,11 +250,13 @@ def test_whole_grid_majorants_equal_their_scalar_calls(radices, depth):
     s = make_structure(radices, depth)
     xs = np.arange(s.size)
     points = range(s.size)
-    for A in range(1, s.depth + 1):
+    # at A = 0 without the diagonal shift the sum has no terms
+    for A in range(s.depth + 1):
         for diagonal in (True, False):
             grid = block_shift_majorant(s, A, xs, include_diagonal_shift=diagonal)
             scalar = [block_shift_majorant(s, A, x, include_diagonal_shift=diagonal) for x in points]
             assert all(isinstance(v, float) for v in scalar)
+            assert grid.shape == xs.shape
             assert grid.tolist() == scalar
     for A in range(s.depth):
         n = s.orders[A]

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+import vilenkin
+from vilenkin import means, operators, transform
 from vilenkin import (
     SampledFunction,
     classify_point,
     lebesgue_reports,
     make_structure,
+    marcinkiewicz_means,
     maximal_function,
     maximal_function_grid,
     v_component,
@@ -142,6 +145,16 @@ def test_v_grid_matches_verbatim(rng):
                 assert grid[x, y] == pytest.approx(v_component(f, x, y, n, c), abs=1e-10)
 
 
+def test_v_sup_grid_is_the_sup_of_the_summed_components(rng):
+    s = make_structure((2, 3), 3)
+    f = random_sample(s, rng)
+    want = np.zeros((s.size, s.size))
+    for n in range(1, s.depth + 1):
+        total = sum(v_component_grid(f, n, c) for c in range(1, 5))
+        want = np.maximum(want, np.abs(total))
+    np.testing.assert_allclose(v_sup_grid(f), want, rtol=0, atol=1e-9)
+
+
 def test_linf_bound_observed_and_stable_across_depths(rng):
     per_depth = []
     for radices in [(2, 3), (2, 3, 2), (2, 3, 2, 3)]:
@@ -210,6 +223,38 @@ def test_random_function_fraction_reported(rng):
     reports = lebesgue_reports(f, [(x, y) for x in range(3) for y in range(3)])
     verdicts = {r.verdict for r in reports}
     assert verdicts <= {"converging", "non-converging", "inconclusive"}
+
+
+def test_lebesgue_reports_transform_once_and_match_the_multiplier_means(monkeypatch, rng):
+    s = make_structure((2, 3), 3)
+    f = random_sample(s, rng)
+    points = [(0, 0), (5, 7), (11, 2)]
+    for index_base in (0, 1):
+        calls = []
+
+        def counted(g, _forward=transform.forward):
+            calls.append(g)
+            return _forward(g)
+
+        # every namespace that binds forward, so no call escapes the count
+        with monkeypatch.context() as patch:
+            for module in (transform, operators, means, vilenkin):
+                patch.setattr(module, "forward", counted)
+            reports = lebesgue_reports(f, points, index_base=index_base)
+        assert len(calls) == 1
+        for j in range(1, s.depth + 1):
+            sigma = marcinkiewicz_means(f, s.orders[j], "multiplier", index_base).values
+            for report in reports:
+                want = abs(sigma[report.x, report.y] - f.values[report.x, report.y])
+                assert report.sigma_errors[j - 1] == pytest.approx(want, rel=0, abs=1e-12)
+
+
+def test_lebesgue_reports_reject_a_1d_sample_and_a_bad_index_base(rng):
+    s = make_structure((2, 3))
+    with pytest.raises(ValueError, match="2-D"):
+        lebesgue_reports(random_sample(s, rng, arity=1), [(0, 0)])
+    with pytest.raises(ValueError, match="index_base"):
+        lebesgue_reports(random_sample(s, rng), [(0, 0)], index_base=2)
 
 
 def test_point_indices_out_of_range_rejected(rng):

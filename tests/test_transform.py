@@ -15,6 +15,7 @@ from vilenkin import (
     vilenkin,
     vilenkin_column,
 )
+from vilenkin.transform import digit_blocks
 
 from conftest import oracle_forward_1d, random_sample
 
@@ -98,6 +99,44 @@ def test_fast_equals_naive_2d(radices, rng):
         forward(f).coefficients, naive_forward(f).coefficients, atol=1e-12
     )
     np.testing.assert_allclose(inverse(forward(f)).values, f.values, atol=1e-12)
+
+
+# radix lists with their digit blocks: several blocks, a trailing one-digit
+# block, and radices above BLOCK_POINTS, which are blocks of their own
+BLOCKINGS = [
+    ((2, 3, 2, 3, 2, 3), ((3, 2, 3, 2), (3, 2))),
+    ((2, 2, 2, 2, 2, 2, 2), ((2, 2, 2, 2, 2, 2), (2,))),
+    ((67,), ((67,),)),
+    ((2, 67), ((67,), (2,))),
+]
+
+
+@pytest.mark.parametrize("radices, blocks", BLOCKINGS)
+def test_digit_blocks(radices, blocks):
+    s = make_structure(radices)
+    assert digit_blocks(s) == blocks
+
+
+@pytest.mark.parametrize("arity", [1, 2])
+@pytest.mark.parametrize("radices", [radices for radices, _ in BLOCKINGS])
+def test_blocked_transform_equals_naive_and_round_trips(radices, arity, rng):
+    s = make_structure(radices)
+    f = random_sample(s, rng, arity=arity)
+    spectrum = forward(f)
+    back = inverse(spectrum).values
+    exact = dict(rtol=0, atol=1e-12)
+    np.testing.assert_allclose(spectrum.coefficients, naive_forward(f).coefficients, **exact)
+    np.testing.assert_allclose(back, naive_inverse(spectrum).values, **exact)
+    np.testing.assert_allclose(back, f.values, **exact)
+    energy_grid = np.mean(np.abs(f.values) ** 2)
+    assert np.sum(np.abs(spectrum.coefficients) ** 2) == pytest.approx(energy_grid, rel=0, abs=1e-12)
+
+
+def test_radix_above_the_block_cap_stores_no_dense_matrix(rng):
+    s = make_structure((2, 67))
+    inverse(forward(random_sample(s, rng)))
+    # the two 2x2 DFT matrices (forward and conjugate) and nothing of size 67
+    assert s.table_stats()["bytes"] == 2 * 2 * 2 * 16
 
 
 def test_convolution_theorem(rng):
