@@ -19,7 +19,7 @@ from .operators import (
     v_component_grid,
     v_sup_grid,
 )
-from .sampled import SampledFunction, lp_norm
+from .sampled import SampledFunction, check_exponent, lp_norm, require_arity
 
 __all__ = [
     "Atom",
@@ -159,10 +159,10 @@ _REGION_VANISHING = {"cc": (3, 4), "cs": (2, 4), "sc": (1, 3)}
 def quasilocality_integral(atom: Atom, p: Optional[float] = None) -> QuasiLocalityReport:
     """Integral of (V a)^p over the complement regions, with the exact
     vanishing patterns measured alongside."""
+    p = atom.p if p is None else check_exponent(p)
     ok, diagnostics = verify_atom(atom)
     if not ok:
         raise ValueError(f"invalid atom: {diagnostics}")
-    p = atom.p if p is None else float(p)
     structure = atom.structure
     f = atom.function
     N = atom.support_depth
@@ -218,8 +218,7 @@ def weak_type_check(
     The default lambda grid is geometric and relative to max V f, so the
     ratio is exactly invariant under f -> c f.
     """
-    if f.arity != 2:
-        raise ValueError("weak_type_check needs a 2-D sample")
+    require_arity(f, 2, "weak_type_check")
     norm1 = lp_norm(f, 1.0)
     if norm1 == 0.0:
         raise ValueError("weak-type ratio undefined for the zero function")
@@ -244,9 +243,7 @@ def weak_type_check(
 def hardy_quasinorm(f: SampledFunction, p: float) -> float:
     """||f||_{H_p} = ||f*||_p with f* the martingale maximal function;
     sup f* for p = infinity."""
-    p = float(p)
-    if p <= 0:
-        raise ValueError(f"invalid-exponent: p must be positive, got {p}")
+    p = check_exponent(p)
     star = maximal_function_grid(f)
     if p == np.inf:
         return float(star.max())

@@ -34,43 +34,42 @@ def rademacher(structure: GroupStructure, k: int, x: int) -> complex:
     """r_k(x) = exp(2 pi i x_k / m_k)."""
     if not 0 <= k < structure.depth:
         raise ValueError(f"coordinate {k} not in [0, {structure.depth})")
+    structure.check_points(x)
     digit = int(structure.digit_table[int(x), k])
     return complex(structure.root_tables[k][digit])
 
 
-def rademacher_power_sum(structure: GroupStructure, n: int, x: int) -> complex:
-    """sum_{i=0}^{m_n - 1} r_n(x)^i, which is m_n when x_n = 0 and 0 otherwise."""
-    if not 0 <= n < structure.depth:
-        raise ValueError(f"coordinate {n} not in [0, {structure.depth})")
-    base = rademacher(structure, n, x)
-    return complex(sum(base**i for i in range(structure.radices[n])))
+def rademacher_power_sum(structure: GroupStructure, n: int, x):
+    """sum_{i=0}^{m_n - 1} r_n(x)^i, which is m_n when x_n = 0 and 0 otherwise.
+
+    This is the one-factor coupling product r_{n,n}(x, 0).
+    """
+    from .kernels import r_factor
+
+    return r_factor(structure, n, n, x, 0)
 
 
-def vilenkin(structure: GroupStructure, n: int, x: int) -> complex:
-    """psi_n(x), the product of Rademacher powers indexed by the digits of n."""
+def vilenkin(structure: GroupStructure, n: int, x):
+    """psi_n(x), the product of Rademacher powers indexed by the digits of n.
+
+    ``x`` is a point index or an index array; a scalar call returns a scalar.
+    """
     if not 0 <= int(n) < structure.size:
         raise ValueError(f"index-overflow: {n} not in [0, {structure.size})")
+    structure.check_points(x)
     dn = structure.digit_table[int(n)]
-    dx = structure.digit_table[int(x)]
-    value = 1.0 + 0.0j
+    dx = structure.digit_table[x]
+    values = np.ones(np.shape(x), dtype=np.complex128)
     for k in range(structure.depth):
         if dn[k]:
             table = structure.root_tables[k]
-            value *= table[(dn[k] * dx[k]) % structure.radices[k]]
-    return complex(value)
+            values *= table[(dn[k] * dx[..., k]) % structure.radices[k]]
+    return values[()]
 
 
 def vilenkin_column(structure: GroupStructure, n: int) -> np.ndarray:
     """psi_n sampled on the whole grid, as a length-M_L array."""
-    if not 0 <= int(n) < structure.size:
-        raise ValueError(f"index-overflow: {n} not in [0, {structure.size})")
-    dn = structure.digit_table[int(n)]
-    values = np.ones(structure.size, dtype=np.complex128)
-    for k in range(structure.depth):
-        if dn[k]:
-            table = structure.root_tables[k]
-            values *= table[(dn[k] * structure.digit_table[:, k]) % structure.radices[k]]
-    return values
+    return vilenkin(structure, n, np.arange(structure.size))
 
 
 def character_table(structure: GroupStructure) -> np.ndarray:
@@ -85,14 +84,11 @@ def character_table(structure: GroupStructure) -> np.ndarray:
     return structure.table("character_table", build)
 
 
-def dirichlet(structure: GroupStructure, k: int, x: int) -> complex:
-    """D_k(x) = sum_{j<k} psi_j(x); D_0 is the empty sum."""
-    k = int(k)
-    if not 0 <= k <= structure.size:
-        raise ValueError(f"kernel order {k} not in [0, {structure.size}]")
-    if k == 0:
-        return 0j
-    return complex(dirichlet_table(structure, k)[int(x)])
+def dirichlet(structure: GroupStructure, k: int, x):
+    """D_k(x) = sum_{j<k} psi_j(x), read from the stored table; D_0 is the
+    empty sum.  ``x`` is a point index or an index array."""
+    structure.check_points(x)
+    return dirichlet_table(structure, k)[x]
 
 
 def dirichlet_table(structure: GroupStructure, k: int) -> np.ndarray:
@@ -117,13 +113,13 @@ def block_dirichlet(structure: GroupStructure, n: int, z) -> np.ndarray:
     return out if out.ndim else float(out)
 
 
-def dirichlet_shift(structure: GroupStructure, j: int, r: int, A: int, x: int) -> complex:
+def dirichlet_shift(structure: GroupStructure, j: int, r: int, A: int, x):
     """Right-hand side of the block shift identity for D_{j + r * M_A}:
 
         (sum_{q<r} psi_{M_A}^q(x)) D_{M_A}(x) + psi_{M_A}^r(x) D_j(x).
 
     Must agree with dirichlet(j + r * M_A, x) for 0 <= j < M_A and
-    1 <= r <= m_A - 1.
+    1 <= r <= m_A - 1.  ``x`` is a point index or an index array.
     """
     if not 0 <= A < structure.depth:
         raise ValueError(f"block level {A} not in [0, {structure.depth})")
@@ -133,5 +129,4 @@ def dirichlet_shift(structure: GroupStructure, j: int, r: int, A: int, x: int) -
         raise ValueError(f"multiplier {r} not in [1, m_{A})")
     base = vilenkin(structure, structure.orders[A], x)
     prefix = sum(base**q for q in range(r))
-    block = complex(block_dirichlet(structure, A, x))
-    return complex(prefix * block + base**r * dirichlet(structure, j, x))
+    return prefix * block_dirichlet(structure, A, x) + base**r * dirichlet(structure, j, x)

@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .atoms import make_atom, quasilocality_integral, weak_type_check
-from .characters import dirichlet, dirichlet_shift, dirichlet_table, block_dirichlet
+from .characters import block_dirichlet, dirichlet_shift, dirichlet_table
 from .group import GroupStructure, make_structure
 from .kernels import (
     ESTIMATE_IDS,
@@ -43,7 +43,7 @@ from .operators import (
     v_sup_grid,
     w_operator_2d,
 )
-from .sampled import SampledFunction, lp_norm
+from .sampled import SampledFunction
 from .testfunctions import build_test_function, list_test_functions, parse_fn_spec
 from .transform import digit_blocks, forward, naive_forward
 
@@ -70,14 +70,14 @@ def run_verify_kernels(structure: GroupStructure, args) -> dict:
     tol = args.tol
     rng = np.random.default_rng(args.seed)
     size = structure.size
+    xs = np.arange(size)
     suites = []
 
     err = 0.0
     for A in range(1, structure.depth + 1):
         lhs = structure.orders[A] * marcinkiewicz_kernel(structure, structure.orders[A]).values
-        for x in range(size):
-            for y in range(size):
-                err = max(err, abs(lhs[x, y] - kernel_decomposition_rhs(structure, A, x, y)))
+        rhs = kernel_decomposition_rhs(structure, A, xs[:, None], xs[None, :])
+        err = max(err, float(np.abs(lhs - rhs).max()))
     suites.append({"name": "kernel-decomposition", "max_error": err})
 
     err = 0.0
@@ -85,32 +85,25 @@ def run_verify_kernels(structure: GroupStructure, args) -> dict:
         for j in range(structure.orders[A]):
             for r in range(1, structure.radices[A]):
                 target = dirichlet_table(structure, j + r * structure.orders[A])
-                for x in range(size):
-                    err = max(err, abs(dirichlet_shift(structure, j, r, A, x) - target[x]))
+                rhs = dirichlet_shift(structure, j, r, A, xs)
+                err = max(err, float(np.abs(rhs - target).max()))
     suites.append({"name": "dirichlet-shift", "max_error": err})
 
     err = 0.0
-    pairs = (
-        [(x, y) for x in range(size) for y in range(size)]
-        if size <= 40
-        else [tuple(rng.integers(size, size=2)) for _ in range(1200)]
-    )
+    if size <= 40:
+        x, y = xs[:, None], xs[None, :]
+    else:
+        x, y = rng.integers(size, size=(1200, 2)).T
     for i in range(structure.depth + 1):
         for n in range(i - 1, structure.depth):
-            for x, y in pairs:
-                err = max(
-                    err,
-                    abs(
-                        r_factor(structure, i, n, x, y)
-                        - r_factor_closed(structure, i, n, x, y)
-                    ),
-                )
+            diff = r_factor(structure, i, n, x, y) - r_factor_closed(structure, i, n, x, y)
+            err = max(err, float(np.abs(diff).max()))
     suites.append({"name": "r-factor", "max_error": err})
 
     err = 0.0
     for n in range(structure.depth + 1):
         table = dirichlet_table(structure, structure.orders[n])
-        closed = block_dirichlet(structure, n, np.arange(size))
+        closed = block_dirichlet(structure, n, xs)
         err = max(err, float(np.abs(table - closed).max()))
     suites.append({"name": "block-dirichlet", "max_error": err})
 

@@ -113,11 +113,18 @@ def _dirichlet_stack(structure: GroupStructure, n: int) -> np.ndarray:
     return stack
 
 
+def check_index_base(index_base: int) -> None:
+    """Reject a summation convention other than k in [0, n) or [1, n]."""
+    if index_base not in (0, 1):
+        raise ValueError("index_base must be 0 or 1")
+
+
 def fejer_kernel_1d(structure: GroupStructure, n: int, index_base: int = 0) -> KernelTable:
     """K_n(x) = (1/n) sum D_k(x), k running over [base, n + base)."""
     n = int(n)
     if not 1 <= n <= structure.size:
         raise ValueError(f"kernel order {n} not in [1, {structure.size}]")
+    check_index_base(index_base)
     stack = _dirichlet_stack(structure, n + index_base)
     if index_base == 0:
         values = stack.sum(axis=0) / n
@@ -133,8 +140,7 @@ def marcinkiewicz_kernel(
     n = int(n)
     if not 1 <= n <= structure.size:
         raise ValueError(f"kernel order {n} not in [1, {structure.size}]")
-    if index_base not in (0, 1):
-        raise ValueError("index_base must be 0 or 1")
+    check_index_base(index_base)
     stack = _dirichlet_stack(structure, n)
     values = np.einsum("kx,ky->xy", stack, stack)
     if index_base == 1:
@@ -146,32 +152,34 @@ def marcinkiewicz_kernel(
 # -- the coupling factor r ------------------------------------------------------
 
 
-def r_factor(structure: GroupStructure, i: int, n: int, x: int, y: int) -> complex:
-    """Product definition of r_{i,n}(x, y); the empty product (i > n) is 1."""
-    if i > n:
-        return 1.0 + 0j
-    if not (0 <= i and n < structure.depth):
+def _check_factor_range(structure: GroupStructure, i: int, n: int) -> None:
+    if i <= n and not (0 <= i and n < structure.depth):
         raise ValueError(f"factor range [{i}, {n}] not inside [0, {structure.depth})")
-    w = structure.add(x, y)
-    value = 1.0 + 0j
+
+
+def r_factor(structure: GroupStructure, i: int, n: int, x, y):
+    """Product definition of r_{i,n}(x, y); the empty product (i > n) is 1.
+
+    ``x`` and ``y`` are point indices or index arrays that broadcast.
+    """
+    _check_factor_range(structure, i, n)
+    structure.check_points(x, y)
+    digits = structure.digit_table[structure.add(x, y)]
+    values = np.ones(digits.shape[:-1], dtype=np.complex128)
     for l in range(i, n + 1):
-        digit = int(structure.digit_table[w, l])
+        m = structure.radices[l]
         root = structure.root_tables[l]
-        value *= sum(root[(s * digit) % structure.radices[l]] for s in range(structure.radices[l]))
-    return complex(value)
+        values *= sum(root[(s * digits[..., l]) % m] for s in range(m))
+    return values[()]
 
 
-def r_factor_closed(structure: GroupStructure, i: int, n: int, x: int, y: int) -> float:
-    """Closed form: m_i ... m_n when digits i..n of x + y vanish, else 0."""
-    if i > n:
-        return 1.0
-    if not (0 <= i and n < structure.depth):
-        raise ValueError(f"factor range [{i}, {n}] not inside [0, {structure.depth})")
-    w = structure.add(x, y)
-    digits = structure.digit_table[w]
-    if any(digits[l] for l in range(i, n + 1)):
-        return 0.0
-    return float(structure.orders[n + 1] // structure.orders[i])
+def r_factor_closed(structure: GroupStructure, i: int, n: int, x, y):
+    """Closed form: m_i ... m_n when digits i..n of x + y vanish, else 0.
+
+    ``x`` and ``y`` are point indices or index arrays that broadcast.
+    """
+    structure.check_points(x, y)
+    return r_factor_table(structure, i, n)[structure.add(x, y)]
 
 
 def r_factor_table(structure: GroupStructure, i: int, n: int) -> np.ndarray:
@@ -181,6 +189,7 @@ def r_factor_table(structure: GroupStructure, i: int, n: int) -> np.ndarray:
     support, ``r_factor_table(...) > 0``, is the indicator that digits i..n
     of w all vanish.
     """
+    _check_factor_range(structure, i, n)
     if i > n:
         return np.ones(structure.size)
 
@@ -196,53 +205,44 @@ def r_factor_table(structure: GroupStructure, i: int, n: int) -> np.ndarray:
 # -- block decomposition of M_A K_{M_A} -----------------------------------------
 
 
-def kernel_decomposition_rhs(
-    structure: GroupStructure,
-    A: int,
-    x: int,
-    y: int,
-) -> complex:
+def kernel_decomposition_rhs(structure: GroupStructure, A: int, x, y):
     """Right-hand side of the block decomposition of M_A K_{M_A}(x, y).
 
     Three groups per level k < A: the D_{M_k}(x) D_{M_k}(y) group weighted by
     M_k, and the two mixed groups pairing D_{M_k} on one axis with
-    M_k K_{M_k} on the other; all weighted by r_{k+1,A-1}(x, y).
+    M_k K_{M_k} on the other; all weighted by r_{k+1,A-1}(x, y).  ``x`` and
+    ``y`` are point indices or index arrays that broadcast.
     """
     if not 1 <= A <= structure.depth:
         raise ValueError(f"block level {A} not in [1, {structure.depth}]")
+    structure.check_points(x, y)
     w = structure.add(x, y)
-    total = 0.0 + 0j
+    total = 0.0
     for k in range(A):
         r = r_factor_table(structure, k + 1, A - 1)[w]
-        if r == 0.0:
-            continue
-        mk = structure.radices[k]
-        base_x = structure.root_tables[k][structure.digit_table[int(x), k] % mk]
-        base_y = structure.root_tables[k][structure.digit_table[int(y), k] % mk]
-        # prefix_r = sum_{q<r} psi_{M_k}^q evaluated by cumulative powers
-        s1 = s2 = s3 = 0.0 + 0j
-        px = py = 1.0 + 0j  # prefix sums for r = 1
+        base_x = structure.root_tables[k][structure.digit_table[x, k]]
+        base_y = structure.root_tables[k][structure.digit_table[y, k]]
+        # prefix_r = sum_{q<r} psi_{M_k}^q evaluated by cumulative powers; these
+        # rebind rather than update in place, since their broadcast shapes grow
+        # and pow_x starts out as base_x itself
+        s1 = s2 = s3 = 0.0
+        px = py = 1.0  # prefix sums for r = 1
         pow_x, pow_y = base_x, base_y
-        for rr in range(1, mk):
-            s1 += px * py
-            s2 += px * pow_y
-            s3 += py * pow_x
-            px += pow_x
-            py += pow_y
-            pow_x *= base_x
-            pow_y *= base_y
-        Dx = float(block_dirichlet(structure, k, int(x)))
-        Dy = float(block_dirichlet(structure, k, int(y)))
+        for _ in range(1, structure.radices[k]):
+            s1 = s1 + px * py
+            s2 = s2 + px * pow_y
+            s3 = s3 + py * pow_x
+            px = px + pow_x
+            py = py + pow_y
+            pow_x = pow_x * base_x
+            pow_y = pow_y * base_y
+        Dx = block_dirichlet(structure, k, x)
+        Dy = block_dirichlet(structure, k, y)
         Mk = structure.orders[k]
-        MkK_x = Mk * fejer_value(structure, Mk, int(x))
-        MkK_y = Mk * fejer_value(structure, Mk, int(y))
+        MkK_x = Mk * _fejer_table(structure, Mk)[x]
+        MkK_y = Mk * _fejer_table(structure, Mk)[y]
         total += r * (Mk * s1 * Dx * Dy + s2 * Dx * MkK_y + s3 * Dy * MkK_x)
-    return complex(total)
-
-
-def fejer_value(structure: GroupStructure, n: int, x: int) -> complex:
-    """K_n(x) looked up from a stored 1-D kernel table."""
-    return complex(_fejer_table(structure, n)[x])
+    return total
 
 
 def _fejer_table(structure: GroupStructure, n: int) -> np.ndarray:

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .group import GroupStructure
-from .kernels import marcinkiewicz_kernel, fejer_kernel_1d
-from .sampled import SampledFunction, Spectrum
+from .kernels import check_index_base, marcinkiewicz_kernel
+from .sampled import SampledFunction, Spectrum, require_arity
 from .transform import convolve, forward, inverse
 
 __all__ = [
@@ -52,8 +52,7 @@ class MeansEvaluation:
 
 def partial_sum_2d(f: SampledFunction, M: int, N: int) -> SampledFunction:
     """Rectangular partial sum S_{M,N} f = sum_{i<M, j<N} fhat(i,j) psi_i psi_j."""
-    if f.arity != 2:
-        raise ValueError("partial_sum_2d needs a 2-D sample")
+    require_arity(f, 2, "partial_sum_2d")
     size = f.structure.size
     if not (0 <= M <= size and 0 <= N <= size):
         raise ValueError(f"partial sum orders ({M}, {N}) not in [0, {size}]")
@@ -71,6 +70,7 @@ def sigma_multiplier(structure: GroupStructure, n: int, index_base: int = 0) -> 
     """
     if not 1 <= n <= structure.size:
         raise ValueError(f"mean order {n} not in [1, {structure.size}]")
+    check_index_base(index_base)
     idx = np.arange(structure.size)
     top = np.maximum.outer(idx, idx)
     counts = np.clip(n - 1 + index_base - top, 0, n)
@@ -81,13 +81,11 @@ def marcinkiewicz_means(
     f: SampledFunction, n: int, method: str = "multiplier", index_base: int = 0
 ) -> SampledFunction:
     """Order-n Marcinkiewicz-Fejer mean of a 2-D sample by the chosen route."""
-    if f.arity != 2:
-        raise ValueError("marcinkiewicz_means needs a 2-D sample")
+    require_arity(f, 2, "marcinkiewicz_means")
     size = f.structure.size
     if not 1 <= n <= size:
         raise ValueError(f"mean order {n} not in [1, {size}]")
-    if index_base not in (0, 1):
-        raise ValueError("index_base must be 0 or 1")
+    check_index_base(index_base)
     if method == "multiplier":
         coeffs = forward(f).coefficients * sigma_multiplier(f.structure, n, index_base)
         return inverse(Spectrum(f.structure, coeffs))
@@ -119,11 +117,11 @@ def evaluate_means(f: SampledFunction, n: int, index_base: int = 0) -> MeansEval
 
 def fejer_means_1d(f: SampledFunction, n: int, index_base: int = 0) -> SampledFunction:
     """1-D Fejer mean (1/n) sum_k S_k f; agrees with kernel convolution."""
-    if f.arity != 1:
-        raise ValueError("fejer_means_1d needs a 1-D sample")
+    require_arity(f, 1, "fejer_means_1d")
     size = f.structure.size
     if not 1 <= n <= size:
         raise ValueError(f"mean order {n} not in [1, {size}]")
+    check_index_base(index_base)
     idx = np.arange(size)
     counts = np.clip(n - 1 + index_base - idx, 0, n)
     coeffs = forward(f).coefficients * (counts / n)

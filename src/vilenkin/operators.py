@@ -43,13 +43,13 @@ may parallelize over points freely.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .group import GroupStructure
-from .kernels import r_factor_table
-from .sampled import SampledFunction, Spectrum
+from .kernels import check_index_base, r_factor, r_factor_table
+from .sampled import SampledFunction, Spectrum, require_arity
 from .transform import convolve, forward, inverse
 
 __all__ = [
@@ -71,12 +71,6 @@ __all__ = [
 
 
 # -- shared index helpers -------------------------------------------------------
-
-
-def _check_points(structure: GroupStructure, *indices: int) -> None:
-    for i in indices:
-        if not 0 <= int(i) < structure.size:
-            raise ValueError(f"point index {i} not in [0, {structure.size})")
 
 
 def _check_order(structure: GroupStructure, n: int) -> None:
@@ -102,22 +96,9 @@ def _outer_add(structure: GroupStructure, kt: int, bt: int, ku: int, bu: int) ->
 
 def _r_product_table(structure: GroupStructure, i: int, n: int) -> np.ndarray:
     """r_{i,n} over the grid, evaluated verbatim as a product of power sums."""
-    if i > n:
-        return np.ones(structure.size, dtype=np.complex128)
-
-    def build() -> np.ndarray:
-        values = np.ones(structure.size, dtype=np.complex128)
-        for l in range(i, n + 1):
-            m = structure.radices[l]
-            digit = structure.digit_table[:, l]
-            root = structure.root_tables[l]
-            power_sum = np.zeros(structure.size, dtype=np.complex128)
-            for s in range(m):
-                power_sum += root[(s * digit) % m]
-            values *= power_sum
-        return values
-
-    return structure.table(("r_product", i, n), build)
+    return structure.table(
+        ("r_product", i, n), lambda: r_factor(structure, i, n, 0, np.arange(structure.size))
+    )
 
 
 # -- the oscillation operators ---------------------------------------------------
@@ -126,12 +107,11 @@ def _r_product_table(structure: GroupStructure, i: int, n: int) -> np.ndarray:
 def w_operator_1d(f: SampledFunction, x: int, A: int) -> float:
     """W_A f(x) = sum_{s<A} M_s sum_{r_s} integral over I_A(x - r_s e_s) of
     |f(t) - f(x)| dmu(t)."""
-    if f.arity != 1:
-        raise ValueError("w_operator_1d needs a 1-D sample")
+    require_arity(f, 1, "w_operator_1d")
     structure = f.structure
     if not 0 <= A <= structure.depth:
         raise ValueError(f"order {A} not in [0, {structure.depth}]")
-    _check_points(structure, x)
+    structure.check_points(x)
     absdiff = np.abs(f.values - f.values[x])
     total = 0.0
     for s in range(A):
@@ -193,20 +173,20 @@ def _w_value(
 
 def w_operator_2d(f: SampledFunction, x: int, y: int, j: int) -> float:
     """The 2-D localized-oscillation operator W_j(x, y; f)."""
-    if f.arity != 2:
-        raise ValueError("w_operator_2d needs a 2-D sample")
+    require_arity(f, 2, "w_operator_2d")
     structure = f.structure
     if not 0 <= j <= structure.depth:
         raise ValueError(f"order {j} not in [0, {structure.depth}]")
-    _check_points(structure, x, y)
+    structure.check_points(x, y)
     absdiff = np.abs(f.values - f.values[x, y])
     return _w_value(structure, absdiff, x, y, j)
 
 
 def w_sequence(f: SampledFunction, x: int, y: int) -> np.ndarray:
     """W_1 .. W_L at one point (shared |f - f(x,y)| table)."""
+    require_arity(f, 2, "w_sequence")
     structure = f.structure
-    _check_points(structure, x, y)
+    structure.check_points(x, y)
     absdiff = np.abs(f.values - f.values[x, y])
     return np.array(
         [_w_value(structure, absdiff, x, y, j) for j in range(1, structure.depth + 1)]
@@ -251,11 +231,10 @@ def _component_terms(structure: GroupStructure, n: int, comp: int):
 
 def v_component(f: SampledFunction, x: int, y: int, n: int, comp: int) -> complex:
     """One majorant component V_n^(comp) f(x, y), evaluated verbatim."""
-    if f.arity != 2:
-        raise ValueError("v_component needs a 2-D sample")
+    require_arity(f, 2, "v_component")
     structure = f.structure
     _check_order(structure, n)
-    _check_points(structure, x, y)
+    structure.check_points(x, y)
     size = structure.size
     total = 0.0 + 0j
     for weight, kt, bt, ku, bu, ind in _component_terms(structure, n, comp):
@@ -333,6 +312,7 @@ def v_kernel_table(structure: GroupStructure, n: int, comp: int) -> np.ndarray:
 
 def v_component_grid(f: SampledFunction, n: int, comp: int) -> np.ndarray:
     """V_n^(comp) f on the whole grid through the kernel-convolution route."""
+    require_arity(f, 2, "v_component_grid")
     H = v_kernel_table(f.structure, n, comp)
     return convolve(f, SampledFunction(f.structure, H)).values
 
@@ -343,6 +323,7 @@ def v_sup_grid(f: SampledFunction) -> np.ndarray:
     V_n f = f * (H_1 + ... + H_4) by linearity, so each order takes one
     convolution with the summed kernel, which is built per call, not stored.
     """
+    require_arity(f, 2, "v_sup_grid")
     structure = f.structure
     out = np.zeros((structure.size, structure.size))
     for n in range(1, structure.depth + 1):
@@ -357,8 +338,7 @@ def v_sup_grid(f: SampledFunction) -> np.ndarray:
 
 def maximal_function_grid(f: SampledFunction) -> np.ndarray:
     """f*(x, y) = sup_{0<=n<=L} |average of f over I_n(x) x I_n(y)|."""
-    if f.arity != 2:
-        raise ValueError("maximal_function needs a 2-D sample")
+    require_arity(f, 2, "maximal_function")
     structure = f.structure
     size = structure.size
     out = np.zeros((size, size))
@@ -372,8 +352,9 @@ def maximal_function_grid(f: SampledFunction) -> np.ndarray:
 
 def maximal_function(f: SampledFunction, x: int, y: int) -> float:
     """Pointwise martingale maximal function."""
+    require_arity(f, 2, "maximal_function")
     structure = f.structure
-    _check_points(structure, x, y)
+    structure.check_points(x, y)
     best = 0.0
     for n in range(structure.depth + 1):
         rows = structure.interval_indices(n, x)
@@ -433,14 +414,11 @@ def lebesgue_reports(
     """
     from .means import sigma_multiplier
 
-    if f.arity != 2:
-        raise ValueError("lebesgue_reports needs a 2-D sample")
-    if index_base not in (0, 1):
-        raise ValueError("index_base must be 0 or 1")
+    require_arity(f, 2, "lebesgue_reports")
+    check_index_base(index_base)
     structure = f.structure
-    for x, y in points:
-        _check_points(structure, x, y)
     xs, ys = np.array(points, dtype=np.intp).reshape(-1, 2).T
+    structure.check_points(xs, ys)
     coeffs = forward(f).coefficients
     # the mean grids are read at the points only, so none of them is kept
     sigma_errors = np.empty((structure.depth, len(xs)))

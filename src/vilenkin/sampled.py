@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from typing import IO, Iterable, Union
+from typing import IO, Union
 
 import numpy as np
 
@@ -98,11 +98,23 @@ def haar_integrate(f: SampledFunction) -> complex:
     return complex(f.values.mean())
 
 
-def lp_norm(f: SampledFunction, p: float) -> float:
-    """(mean of |f|^p)^(1/p) for 0 < p < infinity; max |f| for p = infinity."""
+def require_arity(f: SampledFunction, arity: int, name: str) -> None:
+    """Reject a sample that is not ``arity``-dimensional, naming the caller."""
+    if f.arity != arity:
+        raise ValueError(f"{name} needs a {arity}-D sample")
+
+
+def check_exponent(p: float) -> float:
+    """The exponent p as a float; rejects p <= 0."""
     p = float(p)
     if p <= 0:
         raise ValueError(f"invalid-exponent: p must be positive, got {p}")
+    return p
+
+
+def lp_norm(f: SampledFunction, p: float) -> float:
+    """(mean of |f|^p)^(1/p) for 0 < p < infinity; max |f| for p = infinity."""
+    p = check_exponent(p)
     if p == np.inf:
         return float(np.abs(f.values).max())
     return float(np.mean(np.abs(f.values) ** p) ** (1.0 / p))

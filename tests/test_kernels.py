@@ -6,6 +6,8 @@ import pytest
 
 from vilenkin import (
     block_shift_majorant,
+    dirichlet,
+    dirichlet_shift,
     double_shift_majorant,
     estimate_scan,
     fejer_kernel_1d,
@@ -17,9 +19,8 @@ from vilenkin import (
     r_factor_closed,
     r_factor_table,
     scale_sum_majorant,
+    vilenkin,
 )
-
-from vilenkin.kernels import fejer_value
 
 from conftest import oracle_dirichlet
 
@@ -250,6 +251,7 @@ def test_whole_grid_majorants_equal_their_scalar_calls(radices, depth):
     s = make_structure(radices, depth)
     xs = np.arange(s.size)
     points = range(s.size)
+    fejer = [fejer_kernel_1d(s, s.orders[j]).values for j in range(s.depth)]
     # at A = 0 without the diagonal shift the sum has no terms
     for A in range(s.depth + 1):
         for diagonal in (True, False):
@@ -262,7 +264,7 @@ def test_whole_grid_majorants_equal_their_scalar_calls(radices, depth):
         n = s.orders[A]
         # the modulus of the verbatim per-point sum is Python's abs(complex)
         verbatim = [
-            sum(s.orders[j] * abs(fejer_value(s, s.orders[j], x)) for j in range(A + 1)) for x in points
+            sum(s.orders[j] * abs(complex(fejer[j][x])) for j in range(A + 1)) for x in points
         ]
         assert [scale_sum_majorant(s, n, x) for x in points] == verbatim
         for majorant in (scale_sum_majorant, double_shift_majorant):
@@ -281,3 +283,35 @@ def test_estimate_scan_rows_equal_the_reference():
         estimate, _, convention = label.partition("_")
         report = estimate_scan(s, estimate, include_diagonal_shift=convention != "without_diagonal_shift")
         assert report.per_order == rows, label
+
+
+@pytest.mark.parametrize("radices, depth", [((2, 3), 3), ((3,), 3), ((3, 2, 5), None)])
+def test_array_calls_equal_their_scalar_calls(radices, depth):
+    # a vectorised complex product may round differently from numpy's scalar
+    # path, so the two agree to a relative 1e-15, not to the bit
+    s = make_structure(radices, depth)
+    xs = np.arange(s.size)
+    x, y = xs[:, None], xs[None, :]
+
+    def check(grid, scalar):
+        # scalar calls list the grid in C order and return scalars
+        assert all(isinstance(v, (float, complex)) for v in scalar)
+        assert np.abs(grid.ravel() - np.array(scalar)).max() <= 1e-15 * np.abs(grid).max()
+
+    for A in range(1, s.depth + 1):
+        check(
+            kernel_decomposition_rhs(s, A, x, y),
+            [kernel_decomposition_rhs(s, A, a, b) for a in xs for b in xs],
+        )
+    for i in range(s.depth + 1):
+        for n in range(i - 1, s.depth):
+            for evaluator in (r_factor, r_factor_closed):
+                check(evaluator(s, i, n, x, y), [evaluator(s, i, n, a, b) for a in xs for b in xs])
+    for n in range(s.size):
+        check(vilenkin(s, n, xs), [vilenkin(s, n, a) for a in xs])
+    for k in range(s.size + 1):
+        check(dirichlet(s, k, xs), [dirichlet(s, k, a) for a in xs])
+    for A in range(s.depth):
+        for j in range(s.orders[A]):
+            for r in range(1, s.radices[A]):
+                check(dirichlet_shift(s, j, r, A, xs), [dirichlet_shift(s, j, r, A, a) for a in xs])

@@ -8,6 +8,7 @@ from vilenkin import (
     fejer_kernel_1d,
     fejer_means_1d,
     make_structure,
+    marcinkiewicz_kernel,
     marcinkiewicz_means,
     means_error,
     partial_sum_2d,
@@ -226,3 +227,13 @@ def test_method_and_order_validation(rng):
             sigma_multiplier(s, bad)
     with pytest.raises(ValueError):
         marcinkiewicz_means(random_sample(make_structure((2, 3)), rng, arity=1), 2)
+    f1 = random_sample(s, rng, arity=1)
+    for call in (
+        lambda: marcinkiewicz_means(f, 2, index_base=2),
+        lambda: marcinkiewicz_kernel(s, 2, index_base=2),
+        lambda: fejer_kernel_1d(s, 2, index_base=2),
+        lambda: fejer_means_1d(f1, 2, index_base=2),
+        lambda: sigma_multiplier(s, 2, index_base=2),
+    ):
+        with pytest.raises(ValueError, match="index_base must be 0 or 1"):
+            call()

@@ -272,9 +272,52 @@ def test_point_indices_out_of_range_rejected(rng):
             lambda: lebesgue_reports(f, [(0, 0), (0, bad)]),
             lambda: maximal_function(f, bad, 0),
         ]
+        # the evaluators that take index arrays reject a bad index inside one too
+        for point in (bad, np.array([0, bad])):
+            calls += [
+                lambda point=point: vilenkin.rademacher(s, 0, point),
+                lambda point=point: vilenkin.rademacher_power_sum(s, 0, point),
+                lambda point=point: vilenkin.vilenkin(s, 1, point),
+                lambda point=point: vilenkin.dirichlet(s, 2, point),
+                lambda point=point: vilenkin.dirichlet_shift(s, 0, 1, 1, point),
+                lambda point=point: vilenkin.r_factor(s, 0, 1, point, 0),
+                lambda point=point: vilenkin.r_factor(s, 0, 1, 0, point),
+                lambda point=point: vilenkin.r_factor_closed(s, 0, 1, point, 0),
+                lambda point=point: vilenkin.r_factor_closed(s, 0, 1, 0, point),
+                lambda point=point: vilenkin.kernel_decomposition_rhs(s, 1, point, 0),
+                lambda point=point: vilenkin.kernel_decomposition_rhs(s, 1, 0, point),
+            ]
         for call in calls:
             with pytest.raises(ValueError, match="point index"):
                 call()
+
+
+def test_two_dimensional_operators_reject_a_1d_sample(rng):
+    s = make_structure((2, 3))
+    f1 = random_sample(s, rng, arity=1)
+    calls = [
+        lambda: w_operator_2d(f1, 0, 0, 1),
+        lambda: w_sequence(f1, 0, 0),
+        lambda: v_component(f1, 0, 0, 1, 1),
+        lambda: v_component_grid(f1, 1, 1),
+        lambda: v_sup_grid(f1),
+        lambda: v_maximal(f1, 0, 0),
+        lambda: maximal_function(f1, 0, 0),
+        lambda: maximal_function_grid(f1),
+        lambda: lebesgue_reports(f1, [(0, 0)]),
+        lambda: classify_point(f1, 0, 0),
+        lambda: means.partial_sum_2d(f1, 1, 1),
+        lambda: marcinkiewicz_means(f1, 2),
+        lambda: vilenkin.weak_type_check(f1),
+        lambda: vilenkin.hardy_quasinorm(f1, 1.0),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="needs a 2-D sample"):
+            call()
+    f2 = random_sample(s, rng)
+    for call in (lambda: w_operator_1d(f2, 0, 1), lambda: means.fejer_means_1d(f2, 2)):
+        with pytest.raises(ValueError, match="needs a 1-D sample"):
+            call()
 
 
 def test_v_orders_out_of_range_rejected_before_anything_is_stored(rng):
@@ -289,3 +332,24 @@ def test_v_orders_out_of_range_rejected_before_anything_is_stored(rng):
             with pytest.raises(ValueError, match="order"):
                 v_component(f, 0, 0, bad, comp)
     assert s.table_stats()["tables"] == 0
+
+
+def _r_product_loop(s, i, n):
+    """r_{i,n} over the grid as the product of power sums, one digit at a time."""
+    values = np.ones(s.size, dtype=np.complex128)
+    for l in range(i, n + 1):
+        m = s.radices[l]
+        digit = s.digit_table[:, l]
+        power_sum = np.zeros(s.size, dtype=np.complex128)
+        for t in range(m):
+            power_sum += s.root_tables[l][(t * digit) % m]
+        values *= power_sum
+    return values
+
+
+@pytest.mark.parametrize("radices, depth", [((2, 3), 6), ((2,), 8), ((3, 2, 5), None)])
+def test_r_product_table_equals_the_product_loop_bit_for_bit(radices, depth):
+    s = make_structure(radices, depth)
+    for i in range(s.depth + 1):
+        for n in range(i - 1, s.depth):
+            assert operators._r_product_table(s, i, n).tobytes() == _r_product_loop(s, i, n).tobytes()
