@@ -230,7 +230,7 @@ def run_convergence(structure: GroupStructure, args) -> dict:
         points = [(x, y) for x in range(size) for y in range(size)]
     else:
         points = [tuple(int(v) for v in rng.integers(size, size=2)) for _ in range(count)]
-    reports = lebesgue_reports(f, points, threshold=0.02)
+    reports = lebesgue_reports(f, points)
     verdicts = [rep.verdict for rep in reports]
     return {
         "experiment": "convergence",

@@ -126,10 +126,7 @@ def fejer_kernel_1d(structure: GroupStructure, n: int, index_base: int = 0) -> K
         raise ValueError(f"kernel order {n} not in [1, {structure.size}]")
     check_index_base(index_base)
     stack = _dirichlet_stack(structure, n + index_base)
-    if index_base == 0:
-        values = stack.sum(axis=0) / n
-    else:
-        values = (stack[1:].sum(axis=0) + dirichlet_table(structure, n)) / n
+    values = stack[index_base:].sum(axis=0) / n
     return KernelTable(structure, n, values)
 
 

@@ -56,10 +56,15 @@ def partial_sum_2d(f: SampledFunction, M: int, N: int) -> SampledFunction:
     size = f.structure.size
     if not (0 <= M <= size and 0 <= N <= size):
         raise ValueError(f"partial sum orders ({M}, {N}) not in [0, {size}]")
-    coeffs = forward(f).coefficients.copy()
+    return _masked_partial_sum(forward(f), M, N)
+
+
+def _masked_partial_sum(spectrum: Spectrum, M: int, N: int) -> SampledFunction:
+    """S_{M,N} from the coefficients of f: keep those with i < M, j < N."""
+    coeffs = spectrum.coefficients.copy()
     coeffs[M:, :] = 0
     coeffs[:, N:] = 0
-    return inverse(Spectrum(f.structure, coeffs))
+    return inverse(Spectrum(spectrum.structure, coeffs))
 
 
 def sigma_multiplier(structure: GroupStructure, n: int, index_base: int = 0) -> np.ndarray:
@@ -90,10 +95,9 @@ def marcinkiewicz_means(
         coeffs = forward(f).coefficients * sigma_multiplier(f.structure, n, index_base)
         return inverse(Spectrum(f.structure, coeffs))
     if method == "direct":
-        acc = np.zeros_like(f.values)
-        for j in range(index_base, n + index_base):
-            acc += partial_sum_2d(f, j, j).values
-        return SampledFunction(f.structure, acc / n)
+        spectrum = forward(f)
+        sums = (_masked_partial_sum(spectrum, j, j).values for j in range(index_base, n + index_base))
+        return SampledFunction(f.structure, sum(sums) / n)
     if method == "kernel":
         kern = marcinkiewicz_kernel(f.structure, n, index_base).as_function()
         return convolve(f, kern)

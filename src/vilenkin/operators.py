@@ -4,8 +4,10 @@ components, the maximal operators, and Lebesgue-point classification.
 The 1-D operator W_A integrates |f(t) - f(x)| over the intervals
 I_A(x - r_s e_s) with weights M_s.  The 2-D operator W_j has four sums: two
 r-weighted sums over coset pairs I_k x I_k(shift), with the coupling factor
-evaluated verbatim as the product of Rademacher power sums, and two
-boundary sums over I_j x I_i(shift) pairs.
+read from the product of Rademacher power sums, and two boundary sums over
+I_j x I_i(shift) pairs.  No weight depends on the point, so each order's
+sums are folded once into a stored kernel K_j, and W_j(x, y) is the dot of
+K_j with |f(x - t, y - u) - f(x, y)| gathered once per point.
 
 The components V_n^(1..4) re-express the same geometry with indicator
 weights instead of the r product, applied to f itself:
@@ -30,7 +32,8 @@ For every f, point, and order the exact equivalence
 
 holds because the r product equals (M_n / M_{k+1}) times the digit-sum
 indicator.  Both sides are evaluated by independent routes here so the
-equivalence stays a real check.
+equivalence stays a real check: K_j is built from W's own sums and the r
+product, the V kernels from their own terms and the closed-form indicator.
 
 Shift positions beyond the truncation depth (the s = L boundary terms at
 order L) are dropped; for grid-resolved functions those terms integrate a
@@ -94,13 +97,6 @@ def _outer_add(structure: GroupStructure, kt: int, bt: int, ku: int, bu: int) ->
     )
 
 
-def _r_product_table(structure: GroupStructure, i: int, n: int) -> np.ndarray:
-    """r_{i,n} over the grid, evaluated verbatim as a product of power sums."""
-    return structure.table(
-        ("r_product", i, n), lambda: r_factor(structure, i, n, 0, np.arange(structure.size))
-    )
-
-
 # -- the oscillation operators ---------------------------------------------------
 
 
@@ -109,8 +105,7 @@ def w_operator_1d(f: SampledFunction, x: int, A: int) -> float:
     |f(t) - f(x)| dmu(t)."""
     require_arity(f, 1, "w_operator_1d")
     structure = f.structure
-    if not 0 <= A <= structure.depth:
-        raise ValueError(f"order {A} not in [0, {structure.depth}]")
+    _check_order(structure, A)
     structure.check_points(x)
     absdiff = np.abs(f.values - f.values[x])
     total = 0.0
@@ -122,75 +117,77 @@ def w_operator_1d(f: SampledFunction, x: int, A: int) -> float:
     return float(total)
 
 
-def _w_value(
-    structure: GroupStructure, absdiff: np.ndarray, x: int, y: int, j: int
-) -> float:
-    size = structure.size
-    total = 0.0
-    # two r-weighted sums over I_k x I_k(shift) coset pairs
-    inv_Mj = 1.0 / structure.orders[j]
-    for q in range(j):
-        Mq = structure.orders[q]
-        for k in range(q, j):
+def _w_kernel(structure: GroupStructure, j: int) -> np.ndarray:
+    """One period of K_j, W_j(x, y) = sum_{t,u} K_j(t, u) |f(x-t, y-u) - f(x, y)|.
+
+    The u-shifted sums of W are accumulated as written and the t-shifted ones
+    are their transpose.  K_j depends only on the digits below min(j + 1, L),
+    so only its leading M_{min(j+1,L)} square is stored.
+    """
+
+    def build() -> np.ndarray:
+        size = structure.size
+        everything = np.arange(size)
+        half = np.zeros((size, size))
+        for k in range(j):
             Mk = structure.orders[k]
-            weight = inv_Mj * Mq * Mk**2 / size**2
-            r_table = _r_product_table(structure, k + 1, j - 1)
-            T_plain = structure.interval_indices(k)
-            subx_plain = structure.sub(x, T_plain)
-            level = _shift_level(k, q)
-            for shift in range(1, structure.radices[q]):
-                base = shift * Mq
-                U = structure.interval_indices(level, base)
-                suby = structure.sub(y, U)
-                r_grid = r_table[_outer_add(structure, k, 0, level, base)]
-                # u-shifted: integral over I_k x I_k(u_q e_q)
-                block = absdiff[np.ix_(subx_plain, suby)] * r_grid
-                total += weight * block.sum().real
-                # t-shifted: integral over I_k(t_q e_q) x I_k
-                subx = structure.sub(x, U)
-                suby_plain = structure.sub(y, T_plain)
-                r_grid_t = r_table[_outer_add(structure, level, base, k, 0)]
-                block = absdiff[np.ix_(subx, suby_plain)] * r_grid_t
-                total += weight * block.sum().real.real
-    # two boundary sums over I_j x I_i(shift) pairs
-    T_j = structure.interval_indices(j)
-    subx_j = structure.sub(x, T_j)
-    suby_j = structure.sub(y, T_j)
-    for s in range(min(j, structure.depth - 1) + 1):
-        Ms = structure.orders[s]
-        for i in range(s, j + 1):
-            Mi = structure.orders[i]
-            weight = Ms * Mi / size**2
-            level = _shift_level(i, s)
-            for shift in range(1, structure.radices[s]):
-                U = structure.interval_indices(level, shift * Ms)
-                suby = structure.sub(y, U)
-                total += weight * absdiff[np.ix_(subx_j, suby)].sum()
-                subx = structure.sub(x, U)
-                total += weight * absdiff[np.ix_(subx, suby_j)].sum()
-    return float(total)
+            T = structure.interval_indices(k)
+            # the coupling factor as the product of Rademacher power sums
+            r = r_factor(structure, k + 1, j - 1, 0, everything).real
+            for q in range(k + 1):
+                Mq = structure.orders[q]
+                weight = Mq * Mk**2 / (structure.orders[j] * size**2)
+                level = _shift_level(k, q)
+                for shift in range(1, structure.radices[q]):
+                    base = shift * Mq
+                    U = structure.interval_indices(level, base)
+                    half[np.ix_(T, U)] += weight * r[_outer_add(structure, k, 0, level, base)]
+        T_j = structure.interval_indices(j)
+        for s in range(min(j, structure.depth - 1) + 1):
+            Ms = structure.orders[s]
+            for i in range(s, j + 1):
+                level = _shift_level(i, s)
+                for shift in range(1, structure.radices[s]):
+                    U = structure.interval_indices(level, shift * Ms)
+                    half[np.ix_(T_j, U)] += Ms * structure.orders[i] / size**2
+        period = structure.orders[min(j + 1, structure.depth)]
+        corner = half[:period, :period]
+        return corner + corner.T
+
+    return structure.table(("w_kernel", j), build)
+
+
+def _w_values(f: SampledFunction, x: int, y: int, orders) -> np.ndarray:
+    """W_j(x, y; f) for j in ``orders``: each K_j dotted with the coset sums of
+    |f(x - t, y - u) - f(x, y)|, gathered once."""
+    structure = f.structure
+    everything = np.arange(structure.size)
+    rows, cols = structure.sub(x, everything), structure.sub(y, everything)
+    gathered = np.abs(f.values - f.values[x, y])[np.ix_(rows, cols)]
+    values = []
+    for j in orders:
+        kernel = _w_kernel(structure, j)
+        period, reps = len(kernel), structure.size // len(kernel)
+        sums = gathered.reshape(reps, period, reps, period).sum(axis=(0, 2))
+        values.append(np.vdot(kernel, sums))
+    return np.array(values)
 
 
 def w_operator_2d(f: SampledFunction, x: int, y: int, j: int) -> float:
     """The 2-D localized-oscillation operator W_j(x, y; f)."""
     require_arity(f, 2, "w_operator_2d")
     structure = f.structure
-    if not 0 <= j <= structure.depth:
-        raise ValueError(f"order {j} not in [0, {structure.depth}]")
+    _check_order(structure, j)
     structure.check_points(x, y)
-    absdiff = np.abs(f.values - f.values[x, y])
-    return _w_value(structure, absdiff, x, y, j)
+    return float(_w_values(f, x, y, [j])[0])
 
 
 def w_sequence(f: SampledFunction, x: int, y: int) -> np.ndarray:
-    """W_1 .. W_L at one point (shared |f - f(x,y)| table)."""
+    """W_1 .. W_L at one point (one gather of |f - f(x,y)|)."""
     require_arity(f, 2, "w_sequence")
     structure = f.structure
     structure.check_points(x, y)
-    absdiff = np.abs(f.values - f.values[x, y])
-    return np.array(
-        [_w_value(structure, absdiff, x, y, j) for j in range(1, structure.depth + 1)]
-    )
+    return _w_values(f, x, y, range(1, structure.depth + 1))
 
 
 # -- the majorant components ------------------------------------------------------
@@ -388,14 +385,19 @@ class LebesgueReport:
         }
 
 
-def _verdict(w: Sequence[float], threshold: float, escape_factor: float = 10.0) -> str:
+# verdict levels for the deepest W values
+_THRESHOLD = 0.02
+_ESCAPE_FACTOR = 10.0
+
+
+def _verdict(w: Sequence[float]) -> str:
     w = list(w)
-    if w[-1] > escape_factor * threshold:
+    if w[-1] > _ESCAPE_FACTOR * _THRESHOLD:
         return "non-converging"
     deep = w[-2:] if len(w) >= 2 else w
     tail = w[-3:]
     nonincreasing = all(tail[i] >= tail[i + 1] - 1e-12 for i in range(len(tail) - 1))
-    if all(v < threshold for v in deep) and nonincreasing:
+    if all(v < _THRESHOLD for v in deep) and nonincreasing:
         return "converging"
     return "inconclusive"
 
@@ -403,8 +405,6 @@ def _verdict(w: Sequence[float], threshold: float, escape_factor: float = 10.0) 
 def lebesgue_reports(
     f: SampledFunction,
     points: Sequence[tuple[int, int]],
-    threshold: float = 0.02,
-    escape_factor: float = 10.0,
     index_base: int = 0,
 ) -> list[LebesgueReport]:
     """Classify several points, sharing one transform of f.
@@ -437,7 +437,7 @@ def lebesgue_reports(
                 y_digits=structure.digits(y),
                 w_values=tuple(float(v) for v in w),
                 sigma_errors=tuple(float(e) for e in sigma_errors[:, i]),
-                verdict=_verdict(w, threshold, escape_factor),
+                verdict=_verdict(w),
             )
         )
     return reports
@@ -447,9 +447,7 @@ def classify_point(
     f: SampledFunction,
     x: int,
     y: int,
-    threshold: float = 0.02,
-    escape_factor: float = 10.0,
     index_base: int = 0,
 ) -> LebesgueReport:
     """W_1..W_L at a point, the companion mean errors, and the verdict."""
-    return lebesgue_reports(f, [(x, y)], threshold, escape_factor, index_base)[0]
+    return lebesgue_reports(f, [(x, y)], index_base)[0]

@@ -1,4 +1,5 @@
-"""Every module of the package uses each name it imports."""
+"""Every module of the package uses each name it imports, and every private
+function or class it defines is read somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -31,3 +32,32 @@ def test_modules_use_every_name_they_import():
     assert modules
     found = {path.name: unused_imports(path.read_text(encoding="utf-8")) for path in modules}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def private_definitions(source: str) -> set[str]:
+    """Module-level private functions and classes (one leading underscore)."""
+    return {
+        node.name
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+    }
+
+
+def names_read(source: str) -> set[str]:
+    """Names a module loads, bare or as an attribute (``module._name``)."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+    return read
+
+
+def test_every_private_definition_is_read_by_the_package():
+    sources = [path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))]
+    defined = set().union(*(private_definitions(source) for source in sources))
+    read = set().union(*(names_read(source) for source in sources))
+    assert sorted(defined - read) == []

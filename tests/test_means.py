@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+import vilenkin
+from vilenkin import means, transform
 from vilenkin import (
     SampledFunction,
     convolve,
+    dirichlet_table,
     evaluate_means,
     fejer_kernel_1d,
     fejer_means_1d,
@@ -92,6 +95,27 @@ def test_order_one_mean_vanishes(rng):
     )
 
 
+def test_direct_route_transforms_once_and_matches_the_partial_sums(monkeypatch, rng):
+    s = make_structure((2, 3), 2)
+    f = random_sample(s, rng)
+    for index_base in (0, 1):
+        calls = []
+
+        def counted(g, _forward=transform.forward):
+            calls.append(g)
+            return _forward(g)
+
+        # every namespace that binds forward, so no call escapes the count
+        with monkeypatch.context() as patch:
+            for module in (transform, means, vilenkin):
+                patch.setattr(module, "forward", counted)
+            direct = marcinkiewicz_means(f, 5, "direct", index_base).values
+        assert len(calls) == 1
+        # the mean of the partial sums S_{j,j}, each transforming f afresh
+        want = sum(partial_sum_2d(f, j, j).values for j in range(index_base, 5 + index_base)) / 5
+        assert direct.tobytes() == want.tobytes()
+
+
 def test_three_methods_agree_exhaustively(rng):
     s = make_structure((2, 3))
     f = random_sample(s, rng)
@@ -139,9 +163,16 @@ def test_fejer_1d_edges_and_multiplier(rng):
 def test_fejer_1d_matches_kernel_convolution(rng):
     s = make_structure((2, 3, 2))
     f = random_sample(s, rng, arity=1)
-    for n in (1, 2, 5, 12):
-        via_kernel = convolve(f, fejer_kernel_1d(s, n).as_function())
-        np.testing.assert_allclose(fejer_means_1d(f, n).values, via_kernel.values, atol=1e-10)
+    for index_base in (0, 1):
+        for n in (1, 2, 5, 12):
+            kernel = fejer_kernel_1d(s, n, index_base)
+            # K_n = (1/n) sum of D_k over k in [base, n + base)
+            terms = sum(dirichlet_table(s, k) for k in range(index_base, n + index_base))
+            np.testing.assert_allclose(kernel.values, terms / n, rtol=0, atol=1e-12)
+            via_kernel = convolve(f, kernel.as_function())
+            np.testing.assert_allclose(
+                fejer_means_1d(f, n, index_base).values, via_kernel.values, atol=1e-10
+            )
 
 
 def test_tensor_with_constant_factorizes_but_general_tensor_does_not(rng):

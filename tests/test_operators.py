@@ -11,6 +11,7 @@ from vilenkin import (
     marcinkiewicz_means,
     maximal_function,
     maximal_function_grid,
+    r_factor,
     v_component,
     v_component_grid,
     v_maximal,
@@ -350,6 +351,31 @@ def _r_product_loop(s, i, n):
 @pytest.mark.parametrize("radices, depth", [((2, 3), 6), ((2,), 8), ((3, 2, 5), None)])
 def test_r_product_table_equals_the_product_loop_bit_for_bit(radices, depth):
     s = make_structure(radices, depth)
+    everything = np.arange(s.size)
     for i in range(s.depth + 1):
         for n in range(i - 1, s.depth):
-            assert operators._r_product_table(s, i, n).tobytes() == _r_product_loop(s, i, n).tobytes()
+            assert r_factor(s, i, n, 0, everything).tobytes() == _r_product_loop(s, i, n).tobytes()
+
+
+@pytest.mark.parametrize("radices, depth", [((2, 3), 4), ((2,), 6), ((3, 2, 5), None)])
+def test_tiled_w_kernel_equals_the_summed_v_kernels(radices, depth):
+    # the kernel form of criterion 06: W's kernel, built from W's own sums and
+    # the r product, against V's, built from the closed-form indicator
+    s = make_structure(radices, depth)
+    for j in range(s.depth + 1):
+        period = operators._w_kernel(s, j)
+        reps = s.size // period.shape[0]
+        want = sum(v_kernel_table(s, j, comp) for comp in range(1, 5)) / s.size**2
+        got = np.tile(period, (reps, reps))
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
+def test_w_kernels_store_one_period_each_and_own_their_bytes(rng):
+    s = make_structure((2,), 8)
+    w_sequence(random_sample(s, rng), 3, 200)
+    kernels = {key[1]: table for key, table in s._tables.items() if key[0] == "w_kernel"}
+    assert sorted(kernels) == list(range(1, s.depth + 1))
+    # a view would keep its whole base grid alive, so count the base's bytes
+    held = sum((table if table.base is None else table.base).nbytes for table in kernels.values())
+    periods = [s.orders[min(j + 1, s.depth)] for j in kernels]
+    assert held == 8 * sum(p * p for p in periods) == 1_223_296
