@@ -173,7 +173,7 @@ def run_verify_operators(structure: GroupStructure, args) -> dict:
     suites.append({"name": "sublinearity", "max_error": max(err, 0.0), "exact": True})
 
     err = 0.0
-    for n in range(1, structure.depth + 1):
+    for n in range(structure.depth + 1):
         for c in range(1, 5):
             grid = v_component_grid(f, n, c)
             for x, y in points:

@@ -13,8 +13,9 @@ layout coincide.
 All structures are immutable after construction; every function here is
 pure, so concurrent use from multiple threads is safe.  Each structure also
 keeps the read-only digit tables its kernels and operators derive from it
-(``GroupStructure.table``); their stored bytes never exceed
-TABLE_BUDGET_BYTES.
+(``GroupStructure.table``), and holds the quotients G/I_K its operators
+descend to (``GroupStructure.quotient``); the stored bytes of a structure
+and its quotients together never exceed TABLE_BUDGET_BYTES.
 """
 
 from __future__ import annotations
@@ -42,7 +43,8 @@ DEFAULT_GRID_CAP = 10**8  # cap on the number of 2-D grid points, i.e. M_L ** 2
 # has 10**8 points, so a single float64 grid table there is 800 MB
 TABLE_BUDGET_BYTES = 256 * 2**20
 
-# guards the check-then-insert of a table miss; hits take no lock
+# guards the check-then-insert of a table miss and of a new quotient; hits
+# take no lock
 _TABLE_LOCK = threading.Lock()
 
 
@@ -66,6 +68,32 @@ class MixedRadixIndex:
     value: int
     digits: tuple[int, ...]
     order: Optional[int]
+
+
+class _TableStore:
+    """Read-only tables under one byte budget, with lookup counters."""
+
+    def __init__(self):
+        self.tables: dict = {}
+        self.bytes = 0
+        self.hits = 0
+        self.misses = 0
+
+    def get(self, key, build: Callable[[], np.ndarray]) -> np.ndarray:
+        stored = self.tables.get(key)
+        if stored is not None:
+            self.hits += 1
+            return stored
+        table = build()
+        table.setflags(write=False)
+        with _TABLE_LOCK:
+            self.misses += 1
+            if key in self.tables:
+                return self.tables[key]
+            if self.bytes + table.nbytes <= TABLE_BUDGET_BYTES:
+                self.tables[key] = table
+                self.bytes += table.nbytes
+        return table
 
 
 class GroupStructure:
@@ -101,10 +129,10 @@ class GroupStructure:
         self.depth = len(radices)
         self.orders = tuple(orders)
         self.size = orders[-1]
-        self._tables: dict = {}
-        self._table_bytes = 0
-        self._table_hits = 0
-        self._table_misses = 0
+        self._store = _TableStore()
+        # a quotient files its tables in its parent's store, under keys of its own
+        self._shares_store = False
+        self._quotients: dict[int, GroupStructure] = {}
 
     # -- identity ----------------------------------------------------------
 
@@ -229,41 +257,59 @@ class GroupStructure:
         base = int(center) % self.orders[n]
         return base + self.orders[n] * np.arange(self.size // self.orders[n])
 
+    # -- quotients ---------------------------------------------------------------
+
+    def quotient(self, depth: int) -> "GroupStructure":
+        """G/I_depth, the structure of the first ``depth`` radices.
+
+        A function constant on the I_depth cosets is a function on the
+        quotient: its value at x is the quotient's at x mod M_depth, the
+        digits of x below ``depth``.  Each quotient
+        is built once and held here, and it keeps its tables in this
+        structure's store under keys of its own, so the two share one budget
+        and one ``table_stats``.  ``depth = L`` gives this structure itself.
+        """
+        if not 1 <= depth <= self.depth:
+            raise ValueError(f"quotient depth {depth} not in [1, {self.depth}]")
+        if depth == self.depth:
+            return self
+        quotient = self._quotients.get(depth)
+        if quotient is None:
+            quotient = GroupStructure(self.radices[:depth], grid_cap=self.orders[depth] ** 2)
+            quotient._store = self._store
+            quotient._shares_store = True
+            with _TABLE_LOCK:
+                quotient = self._quotients.setdefault(depth, quotient)
+        return quotient
+
     # -- stored tables ----------------------------------------------------------
 
     def table(self, key, build: Callable[[], np.ndarray]) -> np.ndarray:
         """The table stored under ``key``, or ``build()`` made read-only.
 
-        A built table is kept while the stored bytes stay within
-        TABLE_BUDGET_BYTES; once the budget is spent, later tables are
-        returned without being kept.  Nothing is evicted, so a scan that walks
-        the same keys on every call keeps hitting the tables it kept first.
-        A lookup that finds a kept table is a hit; one that builds is a miss.
+        A built table is kept while the stored bytes of this structure and its
+        quotients stay within TABLE_BUDGET_BYTES; once the budget is spent,
+        later tables are returned without being kept.  Nothing is evicted, so
+        a scan that walks the same keys on every call keeps hitting the tables
+        it kept first.  A lookup that finds a kept table is a hit; one that
+        builds is a miss.  A quotient's keys carry its depth, so no table is
+        ever served to a structure of another depth.
         """
-        stored = self._tables.get(key)
-        if stored is not None:
-            self._table_hits += 1
-            return stored
-        table = build()
-        table.setflags(write=False)
-        with _TABLE_LOCK:
-            self._table_misses += 1
-            if key in self._tables:
-                return self._tables[key]
-            if self._table_bytes + table.nbytes <= TABLE_BUDGET_BYTES:
-                self._tables[key] = table
-                self._table_bytes += table.nbytes
-        return table
+        if self._shares_store:
+            key = ("quotient", self.depth, key)
+        return self._store.get(key, build)
 
     def table_stats(self) -> dict:
-        """Counters of the table store: lookups that hit and missed, and the
-        number and bytes of the tables kept.  Hits taken concurrently from
-        several threads may be undercounted; misses are counted exactly."""
+        """Counters of the table store this structure shares with its
+        quotients: lookups that hit and missed, and the number and bytes of
+        the tables kept.  Hits taken concurrently from several threads may be
+        undercounted; misses are counted exactly."""
+        store = self._store
         return {
-            "hits": self._table_hits,
-            "misses": self._table_misses,
-            "tables": len(self._tables),
-            "bytes": self._table_bytes,
+            "hits": store.hits,
+            "misses": store.misses,
+            "tables": len(store.tables),
+            "bytes": store.bytes,
         }
 
     # -- root-of-unity tables ---------------------------------------------------

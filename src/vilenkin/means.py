@@ -142,15 +142,16 @@ def means_error(
     majorant vanishes, so the pair is reported rather than asserted against
     each other.
     """
-    from .operators import w_operator_2d
+    from .operators import _w_values
 
     structure = f.structure
+    structure.check_points(x, y)
     sigma = marcinkiewicz_means(f, n, "multiplier", index_base)
     error = float(abs(sigma.values[x, y] - f.values[x, y]))
     A = structure.index_order(n)
-    majorant = (
-        sum(structure.orders[j] * w_operator_2d(f, x, y, j) for j in range(A + 1)) / n
-    )
+    # one gather of |f - f(x, y)| serves every order
+    w = _w_values(f, x, y, range(A + 1))
+    majorant = sum(structure.orders[j] * float(w[j]) for j in range(A + 1)) / n
     return error, float(majorant)
 
 

@@ -35,6 +35,15 @@ indicator.  Both sides are evaluated by independent routes here so the
 equivalence stays a real check: K_j is built from W's own sums and the r
 product, the V kernels from their own terms and the closed-form indicator.
 
+On the whole grid each V_n^(c) is a group convolution f * H with a stored
+kernel H (``v_kernel_table``).  H depends only on the digits below K = n
+for components 1-2 and K = min(n + 1, L) for components 3-4, so f * H is
+constant on I_K x I_K cosets.  ``v_component_grid`` and ``v_sup_grid``
+therefore convolve on the quotient G/I_K (``GroupStructure.quotient``): f's
+coset means against the kernel built on the quotient, an M_K x M_K problem
+in place of an M_L x M_L one, tiled back over the grid.  ``v_component``
+stays the verbatim per-point route they are checked against.
+
 Shift positions beyond the truncation depth (the s = L boundary terms at
 order L) are dropped; for grid-resolved functions those terms integrate a
 difference over a single-coset sweep and vanish identically.
@@ -286,8 +295,11 @@ def v_kernel_table(structure: GroupStructure, n: int, comp: int) -> np.ndarray:
     """The convolution kernel H with V_n^(comp) f = f * H (group convolution).
 
     H(t, u) accumulates the term weights over the coset-pair domains, with
-    the digit-sum indicator thinning the shifted-coset sums.  Stored on the
-    structure; cross-checked against the verbatim per-point route in tests.
+    the digit-sum indicator thinning the shifted-coset sums.  It depends only
+    on the digits below n (components 1-2) or min(n + 1, L) (components
+    3-4), and on any quotient deep enough to hold those digits it is the
+    full kernel's leading square.  Stored on the structure; cross-checked
+    against the verbatim per-point route in tests.
     """
     _check_order(structure, n)
 
@@ -307,26 +319,53 @@ def v_kernel_table(structure: GroupStructure, n: int, comp: int) -> np.ndarray:
     return structure.table(("v_kernel", n, comp), build)
 
 
+def _coset_means(f: SampledFunction, period: int) -> np.ndarray:
+    """Means of a 2-D sample over the I_K x I_K cosets, M_K = ``period``,
+    indexed by the digits below K."""
+    reps = f.structure.size // period
+    return f.values.reshape(reps, period, reps, period).mean(axis=(0, 2))
+
+
+def _v_grid(f: SampledFunction, n: int, comps: Sequence[int]) -> np.ndarray:
+    """f * (the sum of the V_n^(c) kernels for c in ``comps``) on the whole grid.
+
+    The kernels depend only on the digits below K = min(n + 1, L) when a
+    component 3-4 is summed and below K = n otherwise, so the result is
+    constant on I_K x I_K cosets.  It is one convolution on the quotient
+    G/I_K, of f's coset means with the kernels built there, tiled back over
+    the grid.  K is at least 1: at n = 0 components 1-2 have no terms, and
+    their zero kernel lives on any quotient.
+    """
+    structure = f.structure
+    _check_order(structure, n)
+    quotient = structure.quotient(max(1, min(n + (max(comps) > 2), structure.depth)))
+    means = _coset_means(f, quotient.size)
+    kernel = sum(v_kernel_table(quotient, n, comp) for comp in comps)
+    coarse = convolve(SampledFunction(quotient, means), SampledFunction(quotient, kernel))
+    reps = structure.size // quotient.size
+    return np.tile(coarse.values, (reps, reps))
+
+
 def v_component_grid(f: SampledFunction, n: int, comp: int) -> np.ndarray:
-    """V_n^(comp) f on the whole grid through the kernel-convolution route."""
+    """V_n^(comp) f on the whole grid, convolved on the quotient where its
+    kernel lives."""
     require_arity(f, 2, "v_component_grid")
-    H = v_kernel_table(f.structure, n, comp)
-    return convolve(f, SampledFunction(f.structure, H)).values
+    return _v_grid(f, n, (comp,))
 
 
 def v_sup_grid(f: SampledFunction) -> np.ndarray:
     """V f = sup_{1<=n<=L} |V_n f| on the whole grid.
 
     V_n f = f * (H_1 + ... + H_4) by linearity, so each order takes one
-    convolution with the summed kernel, which is built per call, not stored.
+    convolution with the summed kernel.  The sum depends only on the digits
+    below K = min(n + 1, L), so the convolution runs on the quotient G/I_K,
+    whose four stored kernels are summed per call, and is tiled back.
     """
     require_arity(f, 2, "v_sup_grid")
     structure = f.structure
     out = np.zeros((structure.size, structure.size))
     for n in range(1, structure.depth + 1):
-        kernel = sum(v_kernel_table(structure, n, comp) for comp in range(1, 5))
-        total = convolve(f, SampledFunction(structure, kernel)).values
-        out = np.maximum(out, np.abs(total))
+        out = np.maximum(out, np.abs(_v_grid(f, n, range(1, 5))))
     return out
 
 
@@ -342,8 +381,7 @@ def maximal_function_grid(f: SampledFunction) -> np.ndarray:
     for n in range(structure.depth + 1):
         Mn = structure.orders[n]
         reps = size // Mn
-        means = f.values.reshape(reps, Mn, reps, Mn).mean(axis=(0, 2))
-        out = np.maximum(out, np.abs(np.tile(means, (reps, reps))))
+        out = np.maximum(out, np.abs(np.tile(_coset_means(f, Mn), (reps, reps))))
     return out
 
 

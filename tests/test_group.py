@@ -195,7 +195,7 @@ def test_table_store_stays_within_budget(monkeypatch):
     assert s.table("rest", lambda: np.zeros(5)) is not rest
     assert s.table("small", lambda: np.ones(8)) is small
     assert s.table("last", lambda: np.zeros(4)) is s.table("last", lambda: np.ones(4))
-    assert sum(t.nbytes for t in s._tables.values()) == 96 <= group.TABLE_BUDGET_BYTES
+    assert sum(t.nbytes for t in s._store.tables.values()) == 96 <= group.TABLE_BUDGET_BYTES
 
 
 def test_table_store_counts_hits_misses_and_kept_bytes(monkeypatch):
@@ -247,3 +247,21 @@ def test_structure_equality_and_hash():
     assert make_structure((2, 3)) == make_structure((2, 3))
     assert make_structure((2, 3)) != make_structure((3, 2))
     assert hash(GroupStructure((2, 3))) == hash(GroupStructure((2, 3)))
+
+
+def test_quotients_are_held_and_share_the_store_under_their_own_keys(monkeypatch):
+    monkeypatch.setattr(group, "TABLE_BUDGET_BYTES", 100)
+    s = make_structure((2, 3), 4)
+    q = s.quotient(2)
+    assert q == make_structure((2, 3)) and q is s.quotient(2) and s.quotient(4) is s
+    for bad in (0, 5):
+        with pytest.raises(ValueError, match="quotient depth"):
+            s.quotient(bad)
+    mine = s.table("t", lambda: np.zeros(8))  # 64 bytes
+    theirs = q.table("t", lambda: np.ones(4))  # 32 bytes: 96 in all, kept
+    assert theirs.shape == (4,) and q.table("t", lambda: np.ones(4)) is theirs
+    assert s.table("t", lambda: np.ones(8)) is mine
+    # the quotient's quotient files under its own depth in the same store
+    assert q.quotient(1).table("t", lambda: np.ones(2)).shape == (2,)  # 16 bytes: not kept
+    assert s.table_stats() == q.table_stats() == {"hits": 2, "misses": 3, "tables": 2, "bytes": 96}
+    assert make_structure((2, 3)).table_stats()["tables"] == 0

@@ -268,3 +268,25 @@ def test_method_and_order_validation(rng):
     ):
         with pytest.raises(ValueError, match="index_base must be 0 or 1"):
             call()
+
+
+def test_means_error_gathers_once_for_every_order(monkeypatch, rng):
+    from vilenkin import operators, w_operator_2d
+
+    s = make_structure((2,), 8)
+    f = random_sample(s, rng)
+    n, x, y = 200, 3, 5
+    calls = []
+    w_values = operators._w_values
+
+    def counted(*args):
+        calls.append(args[3])
+        return w_values(*args)
+
+    monkeypatch.setattr(operators, "_w_values", counted)
+    _, majorant = means_error(f, n, x, y)
+    assert len(calls) == 1 and list(calls[0]) == list(range(s.index_order(n) + 1))
+    monkeypatch.undo()
+    A = s.index_order(n)
+    want = sum(s.orders[j] * w_operator_2d(f, x, y, j) for j in range(A + 1)) / n
+    assert majorant == want

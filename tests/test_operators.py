@@ -373,9 +373,79 @@ def test_tiled_w_kernel_equals_the_summed_v_kernels(radices, depth):
 def test_w_kernels_store_one_period_each_and_own_their_bytes(rng):
     s = make_structure((2,), 8)
     w_sequence(random_sample(s, rng), 3, 200)
-    kernels = {key[1]: table for key, table in s._tables.items() if key[0] == "w_kernel"}
+    kernels = {key[1]: table for key, table in s._store.tables.items() if key[0] == "w_kernel"}
     assert sorted(kernels) == list(range(1, s.depth + 1))
     # a view would keep its whole base grid alive, so count the base's bytes
     held = sum((table if table.base is None else table.base).nbytes for table in kernels.values())
     periods = [s.orders[min(j + 1, s.depth)] for j in kernels]
     assert held == 8 * sum(p * p for p in periods) == 1_223_296
+
+
+def _v_depth(s, n, comp):
+    """K with V_n^(comp)'s kernel depending only on the digits below K (at least 1)."""
+    return max(1, min(n + (comp > 2), s.depth))
+
+
+def test_v_component_grid_at_order_zero_matches_verbatim(rng):
+    s = make_structure((2, 3), 3)
+    f = random_sample(s, rng)
+    for comp in range(1, 5):
+        grid = v_component_grid(f, 0, comp)
+        assert grid.shape == (s.size, s.size)
+        for x, y in [(0, 0), (5, 3), (11, 7)]:
+            assert abs(grid[x, y] - v_component(f, x, y, 0, comp)) <= 1e-12
+        if comp in (1, 2):
+            # no terms at order 0: the zero grid
+            assert not grid.any()
+
+
+@pytest.mark.parametrize("radices, depth", [((2, 3), 5), ((2,), 6), ((3, 2, 5), None)])
+def test_every_v_component_grid_is_its_coset_period_tiled(rng, radices, depth):
+    s = make_structure(radices, depth)
+    f = random_sample(s, rng)
+    for n in range(s.depth + 1):
+        for comp in range(1, 5):
+            g = v_component_grid(f, n, comp)
+            period = s.orders[_v_depth(s, n, comp)]
+            reps = s.size // period
+            assert np.array_equal(g, np.tile(g[:period, :period], (reps, reps)))
+
+
+@pytest.mark.parametrize("radices, depth", [((2, 3), 5), ((2,), 6), ((3, 2, 5), None)])
+def test_quotient_kernel_is_the_leading_square_of_the_full_kernel(radices, depth):
+    s = make_structure(radices, depth)
+    for n in range(s.depth + 1):
+        for comp in range(1, 5):
+            quotient = s.quotient(_v_depth(s, n, comp))
+            coarse = v_kernel_table(quotient, n, comp)
+            full = v_kernel_table(s, n, comp)
+            period, reps = quotient.size, s.size // quotient.size
+            assert coarse.shape == (period, period) and full.shape == (s.size, s.size)
+            assert np.array_equal(coarse, full[:period, :period])
+            assert np.array_equal(full, np.tile(coarse, (reps, reps)))
+
+
+def test_one_atom_keeps_its_quotient_kernels_in_the_parent_budget():
+    from vilenkin import group, make_atom, quasilocality_integral, weak_type_check
+
+    s = make_structure((2, 3), 6)
+    for seed, p, N in ((1, 0.6, 1), (2, 0.8, 2)):
+        atom = make_atom(s, p, N, seed=seed)
+        quasilocality_integral(atom)
+        weak_type_check(atom.function)
+        if seed == 1:
+            after_first = s.table_stats()
+    stats = s.table_stats()
+    # the second atom reads only tables the first one stored
+    assert stats["misses"] == after_first["misses"]
+    tables = s._store.tables
+    quotient_kernels = [
+        table for key, table in tables.items() if key[0] == "quotient" and key[2][0] == "v_kernel"
+    ]
+    # components 1-2 at n on G/I_n, components 3-4 and the sums at n on G/I_{n+1}
+    assert len(quotient_kernels) > 0
+    # the parent keeps only the kernels whose quotient is the whole group
+    assert all(key[1] >= s.depth - 1 for key in tables if key[0] == "v_kernel")
+    assert stats["bytes"] == sum(table.nbytes for table in tables.values())
+    assert stats["bytes"] <= group.TABLE_BUDGET_BYTES
+    assert sum(table.nbytes for table in quotient_kernels) < stats["bytes"]
