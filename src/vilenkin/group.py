@@ -198,13 +198,16 @@ class GroupStructure:
         return bisect_right(self.orders, n) - 1
 
     def check_points(self, *indices) -> None:
-        """Reject any point index, scalar or inside an array, outside [0, M_L).
+        """Reject any point index, scalar or inside an array, that is not an
+        integer in [0, M_L).
 
         The digit tables would wrap a negative index without error, so every
         evaluator at points calls this before reading them.
         """
         for i in indices:
             i = np.asarray(i)
+            if i.dtype.kind not in "iu":
+                raise ValueError(f"point index of dtype {i.dtype} is not an integer")
             bad = i[(i < 0) | (i >= self.size)]
             if bad.size:
                 raise ValueError(f"point index {bad.flat[0]} not in [0, {self.size})")

@@ -7,7 +7,18 @@ r-weighted sums over coset pairs I_k x I_k(shift), with the coupling factor
 read from the product of Rademacher power sums, and two boundary sums over
 I_j x I_i(shift) pairs.  No weight depends on the point, so each order's
 sums are folded once into a stored kernel K_j, and W_j(x, y) is the dot of
-K_j with |f(x - t, y - u) - f(x, y)| gathered once per point.
+K_j with |f(x - t, y - u) - f(x, y)| gathered once per point.  K_j has
+period M_{min(j+1,L)}, so the dot reads the gather's sums over the cosets
+of that level; they are taken fine to coarse, each level's sums from the
+level above, so a point's whole W sequence costs about (4/3) M_L^2 reads
+at radix 2 rather than L M_L^2.
+
+``lebesgue_reports`` sets each W sequence beside the errors of the
+Marcinkiewicz-Fejer means sigma_{M_j} f.  The order-M_j multiplier vanishes
+outside the leading M_j x M_j coefficients, whose characters depend only on
+the digits below j, so sigma_{M_j} f is a function on the quotient G/I_j:
+one M_j x M_j inverse of that block of f's transform, read at
+(x mod M_j, y mod M_j).
 
 The components V_n^(1..4) re-express the same geometry with indicator
 weights instead of the r product, applied to f itself:
@@ -168,18 +179,31 @@ def _w_kernel(structure: GroupStructure, j: int) -> np.ndarray:
 
 def _w_values(f: SampledFunction, x: int, y: int, orders) -> np.ndarray:
     """W_j(x, y; f) for j in ``orders``: each K_j dotted with the coset sums of
-    |f(x - t, y - u) - f(x, y)|, gathered once."""
+    |f(x - t, y - u) - f(x, y)|, gathered once.
+
+    K_j has period M_P, P = min(j + 1, L), so W_j needs the sums over the
+    I_P x I_P cosets.  They are taken fine to coarse: the orders are visited
+    from the finest period down, and each level's sums fold one digit of the
+    level above, about (4/3) M_L^2 reads at radix 2 in place of one full-grid
+    pass per order.  Every level is folded the same way whatever ``orders``
+    holds, so an order's value does not depend on which others are asked for.
+    The values come back in the order of ``orders``.
+    """
     structure = f.structure
+    orders = list(orders)
     everything = np.arange(structure.size)
     rows, cols = structure.sub(x, everything), structure.sub(y, everything)
-    gathered = np.abs(f.values - f.values[x, y])[np.ix_(rows, cols)]
-    values = []
-    for j in orders:
+    sums = np.abs(f.values - f.values[x, y])[np.ix_(rows, cols)]
+    level = structure.depth
+    values = {}
+    for j in sorted(set(orders), reverse=True):
         kernel = _w_kernel(structure, j)
-        period, reps = len(kernel), structure.size // len(kernel)
-        sums = gathered.reshape(reps, period, reps, period).sum(axis=(0, 2))
-        values.append(np.vdot(kernel, sums))
-    return np.array(values)
+        while structure.orders[level] > len(kernel):
+            level -= 1
+            m, period = structure.radices[level], structure.orders[level]
+            sums = sums.reshape(m, period, m, period).sum(axis=(0, 2))
+        values[j] = np.vdot(kernel, sums)
+    return np.array([values[j] for j in orders])
 
 
 def w_operator_2d(f: SampledFunction, x: int, y: int, j: int) -> float:
@@ -448,24 +472,36 @@ def lebesgue_reports(
     """Classify several points, sharing one transform of f.
 
     The mean of order M_j is the multiplier route of ``marcinkiewicz_means``
-    applied to that transform.
+    applied to that transform, taken on the quotient G/I_j: its multiplier
+    vanishes outside the leading M_j x M_j block of coefficients, whose
+    characters depend only on the digits below j, so sigma_{M_j} f is a
+    function on G/I_j.  It is one M_j x M_j inverse of that block, read at
+    (x mod M_j, y mod M_j).  Each point's W_1..W_L share one gather, summed
+    over the cosets fine to coarse (``_w_values``).
     """
     from .means import sigma_multiplier
 
     require_arity(f, 2, "lebesgue_reports")
     check_index_base(index_base)
     structure = f.structure
-    xs, ys = np.array(points, dtype=np.intp).reshape(-1, 2).T
+    pairs = np.asarray(points)
+    if pairs.size == 0:
+        return []
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ValueError(f"points must be (x, y) pairs, got an array of shape {pairs.shape}")
+    xs, ys = pairs.T
     structure.check_points(xs, ys)
     coeffs = forward(f).coefficients
     # the mean grids are read at the points only, so none of them is kept
     sigma_errors = np.empty((structure.depth, len(xs)))
     for j in range(1, structure.depth + 1):
-        order = structure.orders[j]
-        mean = inverse(Spectrum(structure, coeffs * sigma_multiplier(structure, order, index_base)))
-        sigma_errors[j - 1] = np.abs(mean.values[xs, ys] - f.values[xs, ys])
+        quotient = structure.quotient(j)
+        order = quotient.size
+        block = coeffs[:order, :order] * sigma_multiplier(quotient, order, index_base)
+        mean = inverse(Spectrum(quotient, block))
+        sigma_errors[j - 1] = np.abs(mean.values[xs % order, ys % order] - f.values[xs, ys])
     reports = []
-    for i, (x, y) in enumerate(points):
+    for i, (x, y) in enumerate(zip(xs.tolist(), ys.tolist())):
         w = w_sequence(f, x, y)
         reports.append(
             LebesgueReport(

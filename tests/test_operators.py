@@ -227,27 +227,84 @@ def test_random_function_fraction_reported(rng):
 
 
 def test_lebesgue_reports_transform_once_and_match_the_multiplier_means(monkeypatch, rng):
-    s = make_structure((2, 3), 3)
+    for radices, depth in [((2, 3), 3), ((2,), 5), ((3, 2, 5), None)]:
+        s = make_structure(radices, depth)
+        f = random_sample(s, rng)
+        points = [(0, 0), (5, 7), (11, 2), (s.size - 1, s.size // 3)]
+        for index_base in (0, 1):
+            calls = []
+
+            def counted(g, _forward=transform.forward):
+                calls.append(g)
+                return _forward(g)
+
+            # every namespace that binds forward, so no call escapes the count
+            with monkeypatch.context() as patch:
+                for module in (transform, operators, means, vilenkin):
+                    patch.setattr(module, "forward", counted)
+                reports = lebesgue_reports(f, points, index_base=index_base)
+            assert len(calls) == 1
+            for j in range(1, s.depth + 1):
+                sigma = marcinkiewicz_means(f, s.orders[j], "multiplier", index_base).values
+                for report in reports:
+                    want = abs(sigma[report.x, report.y] - f.values[report.x, report.y])
+                    assert report.sigma_errors[j - 1] == pytest.approx(want, rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("index_base", [0, 1])
+def test_sigma_multiplier_lives_on_the_quotient(index_base):
+    s = make_structure((2, 3), 4)
+    for j in range(1, s.depth + 1):
+        order = s.orders[j]
+        full = means.sigma_multiplier(s, order, index_base)
+        quotient = means.sigma_multiplier(s.quotient(j), order, index_base)
+        assert np.array_equal(quotient, full[:order, :order])
+        outside = full.copy()
+        outside[:order, :order] = 0
+        assert not outside.any()
+
+
+def test_lebesgue_reports_invert_each_mean_on_its_quotient(monkeypatch, rng):
+    s = make_structure((2, 3), 4)
     f = random_sample(s, rng)
-    points = [(0, 0), (5, 7), (11, 2)]
-    for index_base in (0, 1):
-        calls = []
+    sizes = []
 
-        def counted(g, _forward=transform.forward):
-            calls.append(g)
-            return _forward(g)
+    def counted(spectrum, _inverse=transform.inverse):
+        sizes.append(spectrum.structure.size)
+        return _inverse(spectrum)
 
-        # every namespace that binds forward, so no call escapes the count
-        with monkeypatch.context() as patch:
-            for module in (transform, operators, means, vilenkin):
-                patch.setattr(module, "forward", counted)
-            reports = lebesgue_reports(f, points, index_base=index_base)
-        assert len(calls) == 1
-        for j in range(1, s.depth + 1):
-            sigma = marcinkiewicz_means(f, s.orders[j], "multiplier", index_base).values
-            for report in reports:
-                want = abs(sigma[report.x, report.y] - f.values[report.x, report.y])
-                assert report.sigma_errors[j - 1] == pytest.approx(want, rel=0, abs=1e-12)
+    # every namespace that binds inverse, so no call escapes the count
+    for module in (transform, operators, means, vilenkin):
+        monkeypatch.setattr(module, "inverse", counted)
+    lebesgue_reports(f, [(0, 0), (7, 30)])
+    assert sizes == list(s.orders[1:])
+
+
+def _w_values_per_order(f, x, y, orders):
+    """W_j(x, y) with each order's coset sums taken from the full gather."""
+    s = f.structure
+    everything = np.arange(s.size)
+    gathered = np.abs(f.values - f.values[x, y])[np.ix_(s.sub(x, everything), s.sub(y, everything))]
+    values = []
+    for j in orders:
+        kernel = operators._w_kernel(s, j)
+        period, reps = len(kernel), s.size // len(kernel)
+        sums = gathered.reshape(reps, period, reps, period).sum(axis=(0, 2))
+        values.append(np.vdot(kernel, sums))
+    return np.array(values)
+
+
+@pytest.mark.parametrize("radices, depth", [((2, 3), 4), ((2,), 6), ((3, 2, 5), None)])
+def test_w_values_summed_fine_to_coarse_match_the_per_order_sums(rng, radices, depth):
+    s = make_structure(radices, depth)
+    f = random_sample(s, rng)
+    L = s.depth
+    for orders in (range(L + 1), [1, L, 0, L - 1, 1], [0], [L]):
+        for x, y in [(0, 0), (s.size - 1, 5), (7, s.size // 2)]:
+            got = operators._w_values(f, x, y, orders)
+            want = _w_values_per_order(f, x, y, orders)
+            assert got.shape == (len(orders),)
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
 
 def test_lebesgue_reports_reject_a_1d_sample_and_a_bad_index_base(rng):
@@ -291,6 +348,18 @@ def test_point_indices_out_of_range_rejected(rng):
         for call in calls:
             with pytest.raises(ValueError, match="point index"):
                 call()
+    # a point that is not an integer, or not a pair, fails as loudly
+    for call in (
+        lambda: lebesgue_reports(f, [(1.5, 2)]),
+        lambda: w_sequence(f, 1.0, 2),
+        lambda: w_operator_1d(f1, 2.5, 1),
+        lambda: vilenkin.rademacher(s, 0, np.array([0.0, 1.0])),
+    ):
+        with pytest.raises(ValueError, match="point index"):
+            call()
+    for points in ([(1, 2, 3)], [1, 2]):
+        with pytest.raises(ValueError, match="pairs"):
+            lebesgue_reports(f, points)
 
 
 def test_two_dimensional_operators_reject_a_1d_sample(rng):
