@@ -64,10 +64,14 @@ def oracle_forward_1d(radices, values):
     )
 
 
-def random_sample(structure, rng, arity=2):
+def random_sample(structure, rng, arity=2, real=False):
+    """Gaussian samples on the grid, stored as complex128; ``real=True``
+    leaves the imaginary part zero."""
     from vilenkin import SampledFunction
 
     shape = (structure.size,) * arity
+    if real:
+        return SampledFunction(structure, rng.normal(size=shape))
     return SampledFunction(structure, rng.normal(size=shape) + 1j * rng.normal(size=shape))
 
 

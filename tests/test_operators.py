@@ -307,6 +307,83 @@ def test_w_values_summed_fine_to_coarse_match_the_per_order_sums(rng, radices, d
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
 
+def _w_values_per_point(f, x, y, orders):
+    """The per-point route, kept as the oracle: the np.ix_ gather of
+    the complex |f - f(x, y)|, then the fine-to-coarse fold."""
+    structure = f.structure
+    orders = list(orders)
+    everything = np.arange(structure.size)
+    rows, cols = structure.sub(x, everything), structure.sub(y, everything)
+    sums = np.abs(f.values - f.values[x, y])[np.ix_(rows, cols)]
+    level = structure.depth
+    values = {}
+    for j in sorted(set(orders), reverse=True):
+        kernel = operators._w_kernel(structure, j)
+        while structure.orders[level] > len(kernel):
+            level -= 1
+            m, period = structure.radices[level], structure.orders[level]
+            sums = sums.reshape(m, period, m, period).sum(axis=(0, 2))
+        values[j] = np.vdot(kernel, sums)
+    return np.array([values[j] for j in orders])
+
+
+def _batch(s):
+    """Points with a repeat and two on one row."""
+    return np.array([0, s.size - 1, 7, 7, 7]), np.array([0, 5, s.size // 2, s.size // 2, 3])
+
+
+@pytest.mark.parametrize("real", [True, False])
+@pytest.mark.parametrize("radices, depth", [((2, 3), 4), ((2,), 6), ((3, 2, 5), None)])
+def test_w_values_over_a_batch_equal_the_per_point_route(rng, radices, depth, real):
+    s = make_structure(radices, depth)
+    f = random_sample(s, rng, real=real)
+    L = s.depth
+    xs, ys = _batch(s)
+    for orders in (range(L + 1), [1, L, 0, L - 1, 1], [0], [L]):
+        got = operators._w_values(f, xs, ys, orders)
+        want = [_w_values_per_point(f, x, y, orders) for x, y in zip(xs.tolist(), ys.tolist())]
+        assert got.shape == (len(xs), len(orders))
+        assert np.array_equal(got, want)
+
+
+def test_one_imaginary_sample_point_takes_the_complex_read(rng):
+    s = make_structure((2, 3), 4)
+    values = random_sample(s, rng, real=True).values.copy()
+    values[-1, -1] += 0.5j
+    f = SampledFunction(s, values)
+    orders = range(s.depth + 1)
+    xs, ys = _batch(s)
+    got = operators._w_values(f, xs, ys, orders)
+    want = [_w_values_per_point(f, x, y, orders) for x, y in zip(xs.tolist(), ys.tolist())]
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+    # the real part alone gives other values, so a read that missed the
+    # imaginary point would fail above
+    real_part = SampledFunction(s, values.real)
+    assert not np.allclose(operators._w_values(real_part, xs, ys, orders), want, rtol=1e-6)
+
+
+def test_lebesgue_reports_call_w_values_once_per_batch(monkeypatch, rng):
+    s = make_structure((2, 3), 4)
+    f = random_sample(s, rng)
+    batches = [[(0, 0), (5, 7), (5, 7), (11, 2), (11, 30)], [(s.size - 1, 3)]]
+    calls = []
+    w_values = operators._w_values
+
+    def counted(*args):
+        calls.append(args)
+        return w_values(*args)
+
+    monkeypatch.setattr(operators, "_w_values", counted)
+    reports = [lebesgue_reports(f, points) for points in batches]
+    assert len(calls) == len(batches)
+    monkeypatch.undo()
+    for batch, points in zip(reports, batches):
+        for report, (x, y) in zip(batch, points):
+            assert report.w_values == tuple(w_sequence(f, x, y))
+            assert (report.x_digits, report.y_digits) == (s.digits(x), s.digits(y))
+    assert reports[0][1] == reports[0][2]
+
+
 def test_lebesgue_reports_reject_a_1d_sample_and_a_bad_index_base(rng):
     s = make_structure((2, 3))
     with pytest.raises(ValueError, match="2-D"):
