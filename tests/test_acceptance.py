@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from vilenkin import (
+    ESTIMATE_IDS,
     SampledFunction,
     dirichlet,
     dirichlet_shift,
@@ -398,29 +399,32 @@ def test_criterion_11b_estimate_constant_drift():
     # The order-n row of a scan does not depend on the truncation depth, so
     # the observed constant at depth L is a running maximum over the order
     # blocks 1..L-1; the 3->4 drift is block 3 raising it, reported as data.
-    shallow = make_structure((2, 3), 3)
-    deep = make_structure((2, 3), 4)
+    # The law is checked at the depth pairs 3->4 and 4->5.
+    structures = {depth: make_structure((2, 3), depth) for depth in (3, 4, 5)}
+    reports = {
+        depth: {estimate: estimate_scan(s, estimate) for estimate in ESTIMATE_IDS}
+        for depth, s in structures.items()
+    }
     differing = {}
     detail = []
-    for estimate in ("est1", "est2", "fejer", "lemma2"):
-        report3 = estimate_scan(shallow, estimate)
-        report4 = estimate_scan(deep, estimate)
-        rows3, rows4 = report3.per_order, report4.per_order
-        pairs = zip_longest(rows3, rows4[: len(rows3)])
-        differing[estimate] = [(a, b) for a, b in pairs if a != b]
+    for estimate in ESTIMATE_IDS:
+        for depth in (3, 4):
+            rows, deeper = reports[depth][estimate].per_order, reports[depth + 1][estimate].per_order
+            pairs = zip_longest(rows, deeper[: len(rows)])
+            differing[f"{estimate}@{depth}->{depth + 1}"] = [(a, b) for a, b in pairs if a != b]
         blocks: dict = {}
-        for row in rows4:
-            block = row["n"] if estimate == "est1" else deep.index_order(row["n"])
+        for row in reports[4][estimate].per_order:
+            block = row["n"] if estimate == "est1" else structures[4].index_order(row["n"])
             if block:
                 blocks[block] = max(blocks.get(block, 0.0), row["max_ratio"])
-        c3, c4 = report3.observed_constant, report4.observed_constant
+        c3, c4 = reports[3][estimate].observed_constant, reports[4][estimate].observed_constant
         detail.append(
             f"{estimate}: blocks " + "/".join(f"{v:.3f}" for _, v in sorted(blocks.items()))
             + f" drift {100 * (c4 - c3) / c3:.1f}%"
         )
     ok = not any(differing.values())
-    _report("11b", ok, "depth-3 rows equal depth-4 rows; " + ", ".join(detail))
-    assert ok, f"depth-3 rows that differ at depth 4: {differing}"
+    _report("11b", ok, "depth-3/4 rows equal the leading depth-4/5 rows; " + ", ".join(detail))
+    assert ok, f"shallow rows that differ one depth deeper: {differing}"
 
 
 def test_criterion_12_constant_mean_exactness():

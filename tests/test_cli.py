@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from vilenkin import cli
 from vilenkin.cli import main
 
 
@@ -21,6 +22,25 @@ def test_verify_kernels_passes(capsys):
     assert payload["pass"] is True
     names = {suite["name"] for suite in payload["suites"]}
     assert {"kernel-decomposition", "dirichlet-shift", "r-factor"} <= names
+
+
+def test_verify_kernels_flags_a_perturbed_decomposition(capsys, monkeypatch):
+    # the decomposition error is relative to the grid's largest value, so a
+    # 1e-6 relative change at the origin, where that value sits, must fail
+    exact = cli.kernel_decomposition_rhs
+
+    def perturbed(structure, A, x, y):
+        values = exact(structure, A, x, y)
+        values[0, 0] *= 1 + 1e-6
+        return values
+
+    monkeypatch.setattr(cli, "kernel_decomposition_rhs", perturbed)
+    code, out, _ = run_cli(capsys, "verify-kernels", "--radices", "2,3,2", "--depth", "3")
+    assert code == 1
+    suites = {suite["name"]: suite for suite in json.loads(out)["suites"]}
+    assert suites["kernel-decomposition"]["pass"] is False
+    assert 1e-7 < suites["kernel-decomposition"]["max_error"] < 1e-5
+    assert all(suite["pass"] for name, suite in suites.items() if name != "kernel-decomposition")
 
 
 def test_verify_operators_passes(capsys):

@@ -21,6 +21,7 @@ from vilenkin import (
     scale_sum_majorant,
     vilenkin,
 )
+from vilenkin.kernels import _kernel_sums
 
 from conftest import oracle_dirichlet
 
@@ -283,6 +284,56 @@ def test_estimate_scan_rows_equal_the_reference():
         estimate, _, convention = label.partition("_")
         report = estimate_scan(s, estimate, include_diagonal_shift=convention != "without_diagonal_shift")
         assert report.per_order == rows, label
+
+
+def _rebuilt_rows(s, estimate, tol=1e-9):
+    """Scan rows with each left side n |K_n| rebuilt from its kernel."""
+    xs = np.arange(s.size)
+    if estimate == "lemma2":
+        kernel, grid, majorant = marcinkiewicz_kernel, (xs[:, None], xs[None, :]), kernel_majorant_2d
+    else:
+        kernel, grid = fejer_kernel_1d, (xs,)
+        majorant = scale_sum_majorant if estimate == "est2" else double_shift_majorant
+    rows = []
+    for A in range(s.depth):
+        rhs = majorant(s, s.orders[A], *grid)
+        positive = rhs > 0
+        for n in range(s.orders[A], s.orders[A + 1]):
+            lhs = n * np.abs(kernel(s, n).values)
+            ratios = lhs[positive] / rhs[positive]
+            rows.append({
+                "n": n,
+                "max_ratio": float(ratios.max()) if ratios.size else 0.0,
+                "zero_mismatches": int(np.count_nonzero(lhs[~positive] > tol)),
+            })
+    return rows
+
+
+@pytest.mark.parametrize("radices, depth", [((2, 3), 3), ((2, 3), 4), ((2, 3), 5), ((3, 2, 5), None)])
+def test_kernel_walk_equals_the_rebuilt_kernels(radices, depth):
+    # the 1-D walk adds the kernel's rows in its order, so its left sides are
+    # the kernel's to the last bit; the 2-D einsum groups its terms otherwise,
+    # so grid values agree to a relative 1e-15 and the rows are equal here
+    s = make_structure(radices, depth)
+    for n, total in _kernel_sums(s, 1):
+        assert np.array_equal(n * np.abs(total / n), n * np.abs(fejer_kernel_1d(s, n).values)), n
+    for n, total in _kernel_sums(s, 2):
+        oracle = n * np.abs(marcinkiewicz_kernel(s, n).values)
+        assert np.abs(n * np.abs(total / n) - oracle).max() <= 1e-15 * oracle.max(), n
+    for estimate in ("est2", "fejer", "lemma2"):
+        assert estimate_scan(s, estimate).per_order == _rebuilt_rows(s, estimate), estimate
+
+
+def test_kernel_walk_at_depth_six_agrees_with_the_rebuilt_kernel():
+    # at (2,3) depth 6, 17 of the 215 lemma2 rows differ from the rebuilt
+    # kernels' in the last bit; the left sides agree to a relative 1e-15 of
+    # the grid's largest value at the first and last order of every level
+    s = make_structure((2, 3), 6)
+    ends = {n for A in range(s.depth) for n in (s.orders[A], s.orders[A + 1] - 1)}
+    for n, total in _kernel_sums(s, 2):
+        if n in ends:
+            oracle = n * np.abs(marcinkiewicz_kernel(s, n).values)
+            assert np.abs(n * np.abs(total / n) - oracle).max() <= 1e-15 * oracle.max(), n
 
 
 @pytest.mark.parametrize("radices, depth", [((2, 3), 3), ((3,), 3), ((3, 2, 5), None)])
