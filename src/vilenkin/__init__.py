@@ -22,11 +22,10 @@ from .characters import (
     dirichlet_shift,
     dirichlet_table,
     rademacher,
-    rademacher_power_sum,
     vilenkin,
     vilenkin_column,
 )
-from .group import DEFAULT_GRID_CAP, GroupStructure, MixedRadixIndex, make_structure
+from .group import DEFAULT_GRID_CAP, GroupStructure, make_structure
 from .kernels import (
     ESTIMATE_IDS,
     EstimateReport,
@@ -41,6 +40,7 @@ from .kernels import (
     r_factor,
     r_factor_closed,
     r_factor_table,
+    rademacher_power_sum,
     scale_sum_majorant,
 )
 from .means import (
@@ -48,25 +48,28 @@ from .means import (
     evaluate_means,
     fejer_means_1d,
     marcinkiewicz_means,
-    means_error,
     partial_sum_2d,
-    save_means_evaluation,
     sigma_multiplier,
 )
 from .operators import (
     LebesgueReport,
-    OperatorProfile,
     classify_point,
     lebesgue_reports,
-    maximal_function,
     maximal_function_grid,
-    v_component,
+    means_error,
     v_component_grid,
-    v_maximal,
     v_sup_grid,
-    w_operator_1d,
     w_operator_2d,
     w_sequence,
+)
+from .oracles import (
+    OperatorProfile,
+    maximal_function,
+    naive_convolve,
+    naive_forward,
+    naive_inverse,
+    v_component,
+    v_maximal,
 )
 from .sampled import (
     SampledFunction,
@@ -79,14 +82,6 @@ from .sampled import (
     write_csv,
 )
 from .testfunctions import build_test_function, list_test_functions, parse_fn_spec
-from .transform import (
-    convolve,
-    forward,
-    inverse,
-    naive_convolve,
-    naive_forward,
-    naive_inverse,
-    translate,
-)
+from .transform import convolve, forward, inverse
 
 __version__ = "0.1.0"

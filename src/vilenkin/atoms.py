@@ -21,16 +21,6 @@ from .operators import (
 )
 from .sampled import SampledFunction, check_exponent, lp_norm, require_arity
 
-__all__ = [
-    "Atom",
-    "QuasiLocalityReport",
-    "hardy_quasinorm",
-    "make_atom",
-    "quasilocality_integral",
-    "verify_atom",
-    "weak_type_check",
-]
-
 # generated atoms sit this far inside the sup-norm budget; keeps the bound
 # strict under roundoff while staying within 1% of equality
 _SUP_MARGIN = 0.995

@@ -17,18 +17,6 @@ import numpy as np
 
 from .group import GroupStructure
 
-__all__ = [
-    "block_dirichlet",
-    "character_table",
-    "dirichlet",
-    "dirichlet_shift",
-    "dirichlet_table",
-    "rademacher",
-    "rademacher_power_sum",
-    "vilenkin",
-    "vilenkin_column",
-]
-
 
 def rademacher(structure: GroupStructure, k: int, x: int) -> complex:
     """r_k(x) = exp(2 pi i x_k / m_k)."""
@@ -37,16 +25,6 @@ def rademacher(structure: GroupStructure, k: int, x: int) -> complex:
     structure.check_points(x)
     digit = int(structure.digit_table[int(x), k])
     return complex(structure.root_tables[k][digit])
-
-
-def rademacher_power_sum(structure: GroupStructure, n: int, x):
-    """sum_{i=0}^{m_n - 1} r_n(x)^i, which is m_n when x_n = 0 and 0 otherwise.
-
-    This is the one-factor coupling product r_{n,n}(x, 0).
-    """
-    from .kernels import r_factor
-
-    return r_factor(structure, n, n, x, 0)
 
 
 def vilenkin(structure: GroupStructure, n: int, x):

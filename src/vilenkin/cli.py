@@ -38,14 +38,14 @@ from .means import evaluate_means
 from .operators import (
     lebesgue_reports,
     maximal_function_grid,
-    v_component,
     v_component_grid,
     v_sup_grid,
     w_operator_2d,
 )
+from .oracles import naive_forward, v_component
 from .sampled import SampledFunction
 from .testfunctions import build_test_function, list_test_functions, parse_fn_spec
-from .transform import digit_blocks, forward, naive_forward
+from .transform import digit_blocks, forward
 
 EXPERIMENTS = (
     "verify-kernels",

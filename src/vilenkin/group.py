@@ -23,19 +23,10 @@ from __future__ import annotations
 import os
 import threading
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-
-__all__ = [
-    "DEFAULT_GRID_CAP",
-    "GroupStructure",
-    "MixedRadixIndex",
-    "TABLE_BUDGET_BYTES",
-    "make_structure",
-]
 
 DEFAULT_GRID_CAP = 10**8  # cap on the number of 2-D grid points, i.e. M_L ** 2
 
@@ -55,19 +46,6 @@ def _resolve_grid_cap(grid_cap: Optional[int]) -> int:
     if env:
         return int(env)
     return DEFAULT_GRID_CAP
-
-
-@dataclass(frozen=True)
-class MixedRadixIndex:
-    """An integer n < M_L together with its digit expansion.
-
-    ``order`` is max{k : n_k != 0}; it is None for n = 0, which has no
-    leading digit.
-    """
-
-    value: int
-    digits: tuple[int, ...]
-    order: Optional[int]
 
 
 class _TableStore:
@@ -181,15 +159,6 @@ class GroupStructure:
             value = value * self.radices[k] + d
         return value
 
-    def index_digits(self, n: int) -> MixedRadixIndex:
-        """Mixed-radix expansion of n with its order |n| (None for n = 0)."""
-        digits = self.digits(n)
-        order = None
-        for k, d in enumerate(digits):
-            if d:
-                order = k
-        return MixedRadixIndex(value=int(n), digits=digits, order=order)
-
     def index_order(self, n: int) -> int:
         """|n|, the k with M_k <= n < M_{k+1}, for 1 <= n <= M_L (M_L maps to L)."""
         n = int(n)
@@ -246,12 +215,6 @@ class GroupStructure:
         return self.orders[k]
 
     # -- intervals and measure ------------------------------------------------
-
-    def in_interval(self, center: int, n: int, y: int) -> bool:
-        """Whether y lies in I_n(center) = {y : y_j = center_j for j < n}."""
-        if not 0 <= n <= self.depth:
-            raise ValueError(f"interval depth {n} not in [0, {self.depth}]")
-        return int(center) % self.orders[n] == int(y) % self.orders[n]
 
     def interval_indices(self, n: int, center: int = 0) -> np.ndarray:
         """Linear indices of I_n(center), an arithmetic progression mod M_n."""

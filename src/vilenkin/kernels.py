@@ -27,26 +27,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .characters import block_dirichlet, character_table, dirichlet_table
+from .characters import block_dirichlet, character_table
 from .group import GroupStructure
 from .sampled import SampledFunction
-
-__all__ = [
-    "ESTIMATE_IDS",
-    "EstimateReport",
-    "KernelTable",
-    "block_shift_majorant",
-    "double_shift_majorant",
-    "estimate_scan",
-    "fejer_kernel_1d",
-    "kernel_decomposition_rhs",
-    "kernel_majorant_2d",
-    "marcinkiewicz_kernel",
-    "r_factor",
-    "r_factor_closed",
-    "r_factor_table",
-    "scale_sum_majorant",
-]
 
 ESTIMATE_IDS = ("est1", "est2", "fejer", "lemma2")
 
@@ -157,11 +140,8 @@ def marcinkiewicz_kernel(
     if not 1 <= n <= structure.size:
         raise ValueError(f"kernel order {n} not in [1, {structure.size}]")
     check_index_base(index_base)
-    stack = _dirichlet_stack(structure, n)
+    stack = _dirichlet_stack(structure, n + index_base)[index_base:]
     values = np.einsum("kx,ky->xy", stack, stack)
-    if index_base == 1:
-        top = dirichlet_table(structure, n)
-        values = values - np.outer(stack[0], stack[0]) + np.outer(top, top)
     return KernelTable(structure, n, values / n)
 
 
@@ -187,6 +167,14 @@ def r_factor(structure: GroupStructure, i: int, n: int, x, y):
         root = structure.root_tables[l]
         values *= sum(root[(s * digits[..., l]) % m] for s in range(m))
     return values[()]
+
+
+def rademacher_power_sum(structure: GroupStructure, n: int, x):
+    """sum_{i=0}^{m_n - 1} r_n(x)^i, which is m_n when x_n = 0 and 0 otherwise.
+
+    This is the one-factor coupling product r_{n,n}(x, 0).
+    """
+    return r_factor(structure, n, n, x, 0)
 
 
 def r_factor_closed(structure: GroupStructure, i: int, n: int, x, y):

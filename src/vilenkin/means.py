@@ -26,26 +26,15 @@ from .kernels import check_index_base, marcinkiewicz_kernel
 from .sampled import SampledFunction, Spectrum, require_arity
 from .transform import convolve, forward, inverse
 
-__all__ = [
-    "MeansEvaluation",
-    "evaluate_means",
-    "fejer_means_1d",
-    "marcinkiewicz_means",
-    "means_error",
-    "partial_sum_2d",
-    "save_means_evaluation",
-    "sigma_multiplier",
-]
-
 _METHODS = ("direct", "multiplier", "kernel")
 
 
 @dataclass(frozen=True, eq=False)
 class MeansEvaluation:
-    """One mean evaluated by all three routes."""
+    """One mean evaluated by all three routes; ``result`` is the multiplier
+    route's."""
 
     order: int
-    method: str
     result: SampledFunction
     max_discrepancy: float
 
@@ -114,9 +103,7 @@ def evaluate_means(f: SampledFunction, n: int, index_base: int = 0) -> MeansEval
     for i in range(len(values)):
         for j in range(i + 1, len(values)):
             disc = max(disc, float(np.abs(values[i] - values[j]).max()))
-    return MeansEvaluation(
-        order=n, method="multiplier", result=results["multiplier"], max_discrepancy=disc
-    )
+    return MeansEvaluation(order=n, result=results["multiplier"], max_discrepancy=disc)
 
 
 def fejer_means_1d(f: SampledFunction, n: int, index_base: int = 0) -> SampledFunction:
@@ -130,50 +117,3 @@ def fejer_means_1d(f: SampledFunction, n: int, index_base: int = 0) -> SampledFu
     counts = np.clip(n - 1 + index_base - idx, 0, n)
     coeffs = forward(f).coefficients * (counts / n)
     return inverse(Spectrum(f.structure, coeffs))
-
-
-def means_error(
-    f: SampledFunction, n: int, x: int, y: int, index_base: int = 0
-) -> tuple[float, float]:
-    """Pointwise |sigma_n f - f| next to its oscillation majorant.
-
-    The majorant is (1/n) sum_{j<=A} M_j W_j(x, y; f) with A the order of n.
-    For constant f the error is |c|/n under the default convention while the
-    majorant vanishes, so the pair is reported rather than asserted against
-    each other.
-    """
-    from .operators import _w_values
-
-    structure = f.structure
-    structure.check_points(x, y)
-    sigma = marcinkiewicz_means(f, n, "multiplier", index_base)
-    error = float(abs(sigma.values[x, y] - f.values[x, y]))
-    A = structure.index_order(n)
-    # one gather of |f - f(x, y)| serves every order
-    w = _w_values(f, x, y, range(A + 1))
-    majorant = sum(structure.orders[j] * float(w[j]) for j in range(A + 1)) / n
-    return error, float(majorant)
-
-
-def save_means_evaluation(evaluation: MeansEvaluation, path_base: str) -> tuple[str, str]:
-    """Write a mean as grid CSV plus a JSON sidecar {n, method, max_discrepancy}.
-
-    Returns the two paths written (``<base>.csv`` and ``<base>.json``).
-    """
-    import json
-
-    from .sampled import write_csv
-
-    csv_path = f"{path_base}.csv"
-    json_path = f"{path_base}.json"
-    with open(csv_path, "w", encoding="utf-8") as handle:
-        write_csv(evaluation.result, handle)
-    sidecar = {
-        "n": evaluation.order,
-        "method": evaluation.method,
-        "max_discrepancy": evaluation.max_discrepancy,
-    }
-    with open(json_path, "w", encoding="utf-8") as handle:
-        json.dump(sidecar, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return csv_path, json_path

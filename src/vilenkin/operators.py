@@ -1,11 +1,10 @@
 """Localized-oscillation operators, their nonnegative-kernel majorant
-components, the maximal operators, and Lebesgue-point classification.
+components, the maximal operator, and Lebesgue-point classification.
 
-The 1-D operator W_A integrates |f(t) - f(x)| over the intervals
-I_A(x - r_s e_s) with weights M_s.  The 2-D operator W_j has four sums: two
-r-weighted sums over coset pairs I_k x I_k(shift), with the coupling factor
-read from the product of Rademacher power sums, and two boundary sums over
-I_j x I_i(shift) pairs.  No weight depends on the point, so each order's
+The 2-D operator W_j has four sums: two r-weighted sums over coset pairs
+I_k x I_k(shift), with the coupling factor read from the product of
+Rademacher power sums, and two boundary sums over I_j x I_i(shift) pairs.
+No weight depends on the point, so each order's
 sums are folded once into a stored kernel K_j, and W_j(x, y) is the dot of
 K_j with |f(x - t, y - u) - f(x, y)| gathered once per point.  K_j has
 period M_{min(j+1,L)}, so the dot reads the gather's sums over the cosets
@@ -19,12 +18,13 @@ these take 0.11-0.17 ms a point for a real sample, where the complex
 modulus of the whole grid and an ``np.ix_`` gather took 0.44-0.59 ms
 (2-vCPU VM, one BLAS thread).
 
-``lebesgue_reports`` sets each W sequence beside the errors of the
-Marcinkiewicz-Fejer means sigma_{M_j} f.  The order-M_j multiplier vanishes
-outside the leading M_j x M_j coefficients, whose characters depend only on
-the digits below j, so sigma_{M_j} f is a function on the quotient G/I_j:
-one M_j x M_j inverse of that block of f's transform, read at
-(x mod M_j, y mod M_j).
+``means_error`` sets the error of a Marcinkiewicz-Fejer mean at a point
+beside its majorant (1/n) sum_j M_j W_j.  ``lebesgue_reports`` sets each W
+sequence beside the errors of the means sigma_{M_j} f.  The order-M_j
+multiplier vanishes outside the leading M_j x M_j coefficients, whose
+characters depend only on the digits below j, so sigma_{M_j} f is a function
+on the quotient G/I_j: one M_j x M_j inverse of that block of f's transform,
+read at (x mod M_j, y mod M_j).
 
 The components V_n^(1..4) re-express the same geometry with indicator
 weights instead of the r product, applied to f itself:
@@ -48,9 +48,10 @@ For every f, point, and order the exact equivalence
   W_n(x, y; f) = sum_i V_n^(i)(|f - f(x,y)|)(x, y)
 
 holds because the r product equals (M_n / M_{k+1}) times the digit-sum
-indicator.  Both sides are evaluated by independent routes here so the
+indicator.  Both sides are evaluated by independent routes so the
 equivalence stays a real check: K_j is built from W's own sums and the r
-product, the V kernels from their own terms and the closed-form indicator.
+product, and ``oracles.v_component`` sums the V terms with the closed-form
+indicator point by point.
 
 On the whole grid each V_n^(c) is a group convolution f * H with a stored
 kernel H (``v_kernel_table``).  H depends only on the digits below K = n
@@ -58,8 +59,8 @@ for components 1-2 and K = min(n + 1, L) for components 3-4, so f * H is
 constant on I_K x I_K cosets.  ``v_component_grid`` and ``v_sup_grid``
 therefore convolve on the quotient G/I_K (``GroupStructure.quotient``): f's
 coset means against the kernel built on the quotient, an M_K x M_K problem
-in place of an M_L x M_L one, tiled back over the grid.  ``v_component``
-stays the verbatim per-point route they are checked against.
+in place of an M_L x M_L one, tiled back over the grid.  The verbatim
+per-point route they are checked against is ``oracles.v_component``.
 
 Shift positions beyond the truncation depth (the s = L boundary terms at
 order L) are dropped; for grid-resolved functions those terms integrate a
@@ -78,25 +79,9 @@ import numpy as np
 
 from .group import GroupStructure
 from .kernels import check_index_base, r_factor, r_factor_table
+from .means import marcinkiewicz_means, sigma_multiplier
 from .sampled import SampledFunction, Spectrum, require_arity
 from .transform import convolve, forward, inverse
-
-__all__ = [
-    "LebesgueReport",
-    "OperatorProfile",
-    "classify_point",
-    "lebesgue_reports",
-    "maximal_function",
-    "maximal_function_grid",
-    "v_component",
-    "v_component_grid",
-    "v_kernel_table",
-    "v_maximal",
-    "v_sup_grid",
-    "w_operator_1d",
-    "w_operator_2d",
-    "w_sequence",
-]
 
 
 # -- shared index helpers -------------------------------------------------------
@@ -124,23 +109,6 @@ def _outer_add(structure: GroupStructure, kt: int, bt: int, ku: int, bu: int) ->
 
 
 # -- the oscillation operators ---------------------------------------------------
-
-
-def w_operator_1d(f: SampledFunction, x: int, A: int) -> float:
-    """W_A f(x) = sum_{s<A} M_s sum_{r_s} integral over I_A(x - r_s e_s) of
-    |f(t) - f(x)| dmu(t)."""
-    require_arity(f, 1, "w_operator_1d")
-    structure = f.structure
-    _check_order(structure, A)
-    structure.check_points(x)
-    absdiff = np.abs(f.values - f.values[x])
-    total = 0.0
-    for s in range(A):
-        Ms = structure.orders[s]
-        for rs in range(1, structure.radices[s]):
-            center = structure.sub(x, rs * Ms)
-            total += Ms * absdiff[structure.interval_indices(A, center)].sum() / structure.size
-    return float(total)
 
 
 def _w_kernel(structure: GroupStructure, j: int) -> np.ndarray:
@@ -247,12 +215,32 @@ def w_sequence(f: SampledFunction, x: int, y: int) -> np.ndarray:
     return _w_values(f, x, y, range(1, structure.depth + 1))
 
 
+def means_error(
+    f: SampledFunction, n: int, x: int, y: int, index_base: int = 0
+) -> tuple[float, float]:
+    """Pointwise |sigma_n f - f| next to its oscillation majorant.
+
+    The majorant is (1/n) sum_{j<=A} M_j W_j(x, y; f) with A the order of n.
+    For constant f the error is |c|/n under the default convention while the
+    majorant vanishes, so the pair is reported rather than asserted against
+    each other.
+    """
+    structure = f.structure
+    structure.check_points(x, y)
+    sigma = marcinkiewicz_means(f, n, "multiplier", index_base)
+    error = float(abs(sigma.values[x, y] - f.values[x, y]))
+    A = structure.index_order(n)
+    # one gather of |f - f(x, y)| serves every order
+    w = _w_values(f, x, y, range(A + 1))
+    majorant = sum(structure.orders[j] * float(w[j]) for j in range(A + 1)) / n
+    return error, float(majorant)
+
+
 # -- the majorant components ------------------------------------------------------
 
 
 def _component_terms(structure: GroupStructure, n: int, comp: int):
     """Yield (weight, t_level, t_base, u_level, u_base, indicator_lo_hi)."""
-    size = structure.size
     if comp in (1, 2):
         for q in range(n):
             Mq = structure.orders[q]
@@ -281,59 +269,6 @@ def _component_terms(structure: GroupStructure, n: int, comp: int):
                         yield weight, n, 0, level, base, None
         return
     raise ValueError(f"component must be 1..4, got {comp}")
-
-
-def v_component(f: SampledFunction, x: int, y: int, n: int, comp: int) -> complex:
-    """One majorant component V_n^(comp) f(x, y), evaluated verbatim."""
-    require_arity(f, 2, "v_component")
-    structure = f.structure
-    _check_order(structure, n)
-    structure.check_points(x, y)
-    size = structure.size
-    total = 0.0 + 0j
-    for weight, kt, bt, ku, bu, ind in _component_terms(structure, n, comp):
-        T = structure.interval_indices(kt, bt)
-        U = structure.interval_indices(ku, bu)
-        block = f.values[np.ix_(structure.sub(x, T), structure.sub(y, U))]
-        if ind is not None:
-            mask = r_factor_table(structure, *ind)[_outer_add(structure, kt, bt, ku, bu)] > 0
-            total += weight * block[mask].sum() / size**2
-        else:
-            total += weight * block.sum() / size**2
-    return complex(total)
-
-
-@dataclass(frozen=True)
-class OperatorProfile:
-    """Per-order component values at a point and their truncated suprema."""
-
-    x: int
-    y: int
-    orders: tuple[int, ...]
-    components: np.ndarray  # (len(orders), 4) complex
-    totals: np.ndarray  # (len(orders),) complex
-    component_sup: np.ndarray  # (4,) float
-    total_sup: float
-
-
-def v_maximal(f: SampledFunction, x: int, y: int) -> OperatorProfile:
-    """V f = sup_{1<=n<=L} |V_n f| with the per-component suprema alongside."""
-    structure = f.structure
-    orders = tuple(range(1, structure.depth + 1))
-    comps = np.zeros((len(orders), 4), dtype=np.complex128)
-    for row, n in enumerate(orders):
-        for c in range(4):
-            comps[row, c] = v_component(f, x, y, n, c + 1)
-    totals = comps.sum(axis=1)
-    return OperatorProfile(
-        x=x,
-        y=y,
-        orders=orders,
-        components=comps,
-        totals=totals,
-        component_sup=np.abs(comps).max(axis=0),
-        total_sup=float(np.abs(totals).max()),
-    )
 
 
 # -- grid-wide component evaluation via kernel tables ------------------------------
@@ -422,7 +357,7 @@ def v_sup_grid(f: SampledFunction) -> np.ndarray:
 
 def maximal_function_grid(f: SampledFunction) -> np.ndarray:
     """f*(x, y) = sup_{0<=n<=L} |average of f over I_n(x) x I_n(y)|."""
-    require_arity(f, 2, "maximal_function")
+    require_arity(f, 2, "maximal_function_grid")
     structure = f.structure
     size = structure.size
     out = np.zeros((size, size))
@@ -431,19 +366,6 @@ def maximal_function_grid(f: SampledFunction) -> np.ndarray:
         reps = size // Mn
         out = np.maximum(out, np.abs(np.tile(_coset_means(f, Mn), (reps, reps))))
     return out
-
-
-def maximal_function(f: SampledFunction, x: int, y: int) -> float:
-    """Pointwise martingale maximal function."""
-    require_arity(f, 2, "maximal_function")
-    structure = f.structure
-    structure.check_points(x, y)
-    best = 0.0
-    for n in range(structure.depth + 1):
-        rows = structure.interval_indices(n, x)
-        cols = structure.interval_indices(n, y)
-        best = max(best, abs(f.values[np.ix_(rows, cols)].mean()))
-    return float(best)
 
 
 # -- Lebesgue-point classification ----------------------------------------------------
@@ -504,8 +426,6 @@ def lebesgue_reports(
     the whole batch: one gather per point, summed over the cosets fine to
     coarse.
     """
-    from .means import sigma_multiplier
-
     require_arity(f, 2, "lebesgue_reports")
     check_index_base(index_base)
     structure = f.structure

@@ -17,15 +17,6 @@ import numpy as np
 
 from .group import GroupStructure
 
-__all__ = [
-    "SampledFunction",
-    "Spectrum",
-    "haar_integrate",
-    "lp_norm",
-    "read_csv",
-    "write_csv",
-]
-
 
 def _validate_values(structure: GroupStructure, values: np.ndarray) -> np.ndarray:
     values = np.asarray(values, dtype=np.complex128)

@@ -15,8 +15,6 @@ from .characters import vilenkin_column
 from .group import GroupStructure
 from .sampled import SampledFunction
 
-__all__ = ["CATALOG", "build_test_function", "list_test_functions", "parse_fn_spec"]
-
 
 def _character(structure: GroupStructure, a: int = 1, b: int = 1) -> SampledFunction:
     return SampledFunction(

@@ -13,8 +13,9 @@ BLOCK_POINTS points and applies each block as one dense Kronecker product of
 small DFT matrices, stored on the structure.  Each contraction turns the
 block's axis to the back, so after one pass over the blocks of every grid
 axis the layout is back in place.  A radix above BLOCK_POINTS is a block by
-itself and runs through numpy's FFT along its one axis.  A naive O(M_L^2)
-summation path is kept as the oracle and the benchmark baseline.
+itself and runs through numpy's FFT along its one axis.  The naive O(M_L^2)
+summation route that checks this one, and that transform-bench times against
+it, is ``oracles.naive_forward``.
 """
 
 from __future__ import annotations
@@ -24,22 +25,8 @@ from math import prod
 
 import numpy as np
 
-from .characters import character_table
 from .group import GroupStructure
 from .sampled import SampledFunction, Spectrum, require_same_structure
-
-__all__ = [
-    "BLOCK_POINTS",
-    "convolve",
-    "digit_blocks",
-    "forward",
-    "inverse",
-    "naive_convolve",
-    "naive_forward",
-    "naive_inverse",
-    "translate",
-]
-
 
 # largest block of digits applied as one dense Kronecker matrix
 BLOCK_POINTS = 64
@@ -110,29 +97,6 @@ def inverse(spectrum: Spectrum) -> SampledFunction:
     )
 
 
-def naive_forward(f: SampledFunction) -> Spectrum:
-    """Direct O(M_L^2) analysis through the full character table."""
-    structure = f.structure
-    table = character_table(structure).conj()
-    n = structure.size
-    if f.arity == 1:
-        coeffs = table @ f.values / n
-    else:
-        coeffs = table @ f.values @ table.T / n**2
-    return Spectrum(structure, coeffs)
-
-
-def naive_inverse(spectrum: Spectrum) -> SampledFunction:
-    """Direct synthesis through the full character table."""
-    structure = spectrum.structure
-    table = character_table(structure)
-    if spectrum.arity == 1:
-        values = spectrum.coefficients @ table
-    else:
-        values = table.T @ spectrum.coefficients @ table
-    return SampledFunction(structure, values)
-
-
 def convolve(f: SampledFunction, g: SampledFunction) -> SampledFunction:
     """Group convolution (f * g)(x) = integral f(t) g(x - t) dmu(t).
 
@@ -142,36 +106,3 @@ def convolve(f: SampledFunction, g: SampledFunction) -> SampledFunction:
     fs = forward(f).coefficients
     gs = forward(g).coefficients
     return inverse(Spectrum(f.structure, fs * gs))
-
-
-def naive_convolve(f: SampledFunction, g: SampledFunction) -> SampledFunction:
-    """Direct summation convolution oracle; O(M_L^2) in 1-D, O(M_L^4) in 2-D."""
-    require_same_structure(f, g)
-    structure = f.structure
-    n = structure.size
-    idx = np.arange(n)
-    if f.arity == 1:
-        out = np.zeros(n, dtype=np.complex128)
-        for t in range(n):
-            out += f.values[t] * g.values[structure.sub(idx, t)]
-        return SampledFunction(structure, out / n)
-    out = np.zeros((n, n), dtype=np.complex128)
-    sub = np.stack([structure.sub(idx, t) for t in range(n)], axis=1)  # sub[x, t]
-    for t in range(n):
-        rows = g.values[sub[:, t]]  # rows[x, u'] = g[x - t, u']
-        gathered = rows[:, sub]  # gathered[x, y, u] = g[x - t, y - u]
-        out += np.tensordot(gathered, f.values[t], axes=([2], [0]))
-    return SampledFunction(structure, out / n**2)
-
-
-def translate(f: SampledFunction, shift) -> SampledFunction:
-    """f(x - a) in 1-D, f(x - a, y - b) in 2-D (shift is an index or a pair)."""
-    structure = f.structure
-    idx = np.arange(structure.size)
-    if f.arity == 1:
-        return SampledFunction(structure, f.values[structure.sub(idx, int(shift))])
-    ax, ay = shift
-    return SampledFunction(
-        structure,
-        f.values[np.ix_(structure.sub(idx, int(ax)), structure.sub(idx, int(ay)))],
-    )

@@ -1,6 +1,7 @@
-"""Shared first-principles oracles, independent of the library's fast paths.
+"""Shared first-principles oracles, independent of the library's fast paths,
+and the sample helpers the tests share.
 
-Everything here works on raw radix tuples and digit lists with cmath, so an
+The oracles work on raw radix tuples and digit lists with cmath, so an
 agreement test against the package exercises two genuinely different routes.
 """
 
@@ -73,6 +74,21 @@ def random_sample(structure, rng, arity=2, real=False):
     if real:
         return SampledFunction(structure, rng.normal(size=shape))
     return SampledFunction(structure, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+
+
+def translate(f, shift):
+    """f(x - a) in 1-D, f(x - a, y - b) in 2-D (shift is an index or a pair)."""
+    from vilenkin import SampledFunction
+
+    structure = f.structure
+    idx = np.arange(structure.size)
+    if f.arity == 1:
+        return SampledFunction(structure, f.values[structure.sub(idx, int(shift))])
+    ax, ay = shift
+    return SampledFunction(
+        structure,
+        f.values[np.ix_(structure.sub(idx, int(ax)), structure.sub(idx, int(ay)))],
+    )
 
 
 @pytest.fixture

@@ -9,13 +9,12 @@ from vilenkin import (
     make_structure,
     maximal_function_grid,
     quasilocality_integral,
-    translate,
     v_sup_grid,
     verify_atom,
     weak_type_check,
 )
 
-from conftest import random_sample
+from conftest import random_sample, translate
 
 
 def test_make_atom_conditions_and_determinism():

@@ -15,7 +15,7 @@ from vilenkin import (
     vilenkin_column,
 )
 
-from conftest import oracle_psi
+from conftest import oracle_digits, oracle_psi
 
 
 def test_orders_direct_product():
@@ -54,23 +54,22 @@ def test_grid_cap_env_override(monkeypatch):
 
 def test_index_digits_examples():
     s = make_structure((2, 3))
-    idx = s.index_digits(5)
-    assert idx.digits == (1, 2)
-    assert idx.order == 1
-    assert s.index_digits(0).order is None
+    assert s.digits(5) == (1, 2)
+    assert s.index_order(5) == 1
+    assert s.digits(0) == (0, 0)
     s2 = make_structure((2, 3, 2))
-    idx = s2.index_digits(7)
-    assert idx.digits == (1, 0, 1)
-    assert idx.order == 2
+    assert s2.digits(7) == (1, 0, 1)
+    assert s2.index_order(7) == 2
 
 
 def test_index_roundtrip_and_order_bracket():
     s = make_structure((2, 3, 2, 3))
     for n in range(s.size):
-        idx = s.index_digits(n)
-        assert s.from_digits(idx.digits) == n
+        digits = s.digits(n)
+        assert s.from_digits(digits) == n
         if n > 0:
-            k = idx.order
+            # |n| is the position of the leading nonzero digit
+            k = max(i for i, d in enumerate(digits) if d)
             assert s.orders[k] <= n < s.orders[k + 1]
             assert s.index_order(n) == k
     assert s.index_order(s.size) == s.depth
@@ -123,17 +122,20 @@ def test_basis_elements():
 
 def test_in_interval():
     s = make_structure((2, 3))
-    assert all(s.in_interval(0, 0, y) for y in range(s.size))
+    assert sorted(s.interval_indices(0, 0).tolist()) == list(range(s.size))
     center = s.from_digits((1, 2))
-    assert all(s.in_interval(center, n, center) for n in range(s.depth + 1))
-    assert not s.in_interval(0, 1, s.from_digits((1, 0)))
+    assert all(center in s.interval_indices(n, center) for n in range(s.depth + 1))
+    assert s.from_digits((1, 0)) not in s.interval_indices(1, 0)
 
 
 def test_interval_measure_by_exhaustive_count():
-    s = make_structure((2, 3, 2))
+    radices = (2, 3, 2)
+    s = make_structure(radices)
     for n in range(s.depth + 1):
         for center in (0, 5, 11):
-            members = [y for y in range(s.size) if s.in_interval(center, n, y)]
+            # I_n(center): the points whose digits below n are center's
+            lead = oracle_digits(radices, center)[:n]
+            members = [y for y in range(s.size) if oracle_digits(radices, y)[:n] == lead]
             assert len(members) == s.size // s.orders[n]
             assert sorted(members) == sorted(s.interval_indices(n, center).tolist())
 

@@ -16,11 +16,10 @@ from vilenkin import (
     means_error,
     partial_sum_2d,
     sigma_multiplier,
-    translate,
     vilenkin_column,
 )
 
-from conftest import random_sample
+from conftest import random_sample, translate
 
 
 def _character_2d(s, a, b):
@@ -224,24 +223,6 @@ def test_means_error_character_formula():
         error, majorant = means_error(f, n, 2, 3)
         assert error == pytest.approx((a + 1) / n, abs=1e-12)
         assert majorant >= 0.0
-
-
-def test_save_means_evaluation_sidecar(tmp_path, rng):
-    import json
-
-    from vilenkin import loads_csv, save_means_evaluation
-
-    s = make_structure((2, 3))
-    f = random_sample(s, rng)
-    evaluation = evaluate_means(f, 4)
-    base = str(tmp_path / "mean4")
-    csv_path, json_path = save_means_evaluation(evaluation, base)
-    restored = loads_csv(open(csv_path).read())
-    np.testing.assert_allclose(restored.values, evaluation.result.values, atol=0)
-    sidecar = json.loads(open(json_path).read())
-    assert set(sidecar) == {"n", "method", "max_discrepancy"}
-    assert sidecar["n"] == 4
-    assert sidecar["max_discrepancy"] < 1e-9
 
 
 def test_method_and_order_validation(rng):

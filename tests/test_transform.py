@@ -11,13 +11,12 @@ from vilenkin import (
     naive_convolve,
     naive_forward,
     naive_inverse,
-    translate,
     vilenkin,
     vilenkin_column,
 )
 from vilenkin.transform import digit_blocks
 
-from conftest import oracle_forward_1d, random_sample
+from conftest import oracle_forward_1d, random_sample, translate
 
 
 def test_constant_transforms_to_delta():
