@@ -14,16 +14,17 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .group import GroupStructure
-from .operators import (
-    maximal_function_grid,
-    v_component_grid,
-    v_sup_grid,
-)
+from .operators import _coset_means, _lift, _v_convolutions, v_kernel_table
+from .operators import maximal_function_grid, v_sup_grid
 from .sampled import SampledFunction, check_exponent, lp_norm, require_arity
 
 # generated atoms sit this far inside the sup-norm budget; keeps the bound
 # strict under roundoff while staying within 1% of equality
 _SUP_MARGIN = 0.995
+
+# values of sup_n |V_n a| at or below this share of its maximum are structural
+# zeros carrying rounding, which a power p < 1 would make route-dependent
+_ZERO_FLOOR = 64 * np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,36 +160,38 @@ def quasilocality_integral(atom: Atom, p: Optional[float] = None) -> QuasiLocali
     mask_x, mask_y = atom.support_masks()
     size = structure.size
 
-    sup_comp = {
-        comp: np.zeros((size, size)) for comp in range(1, 5)
-    }
+    # components 1-2 of order n live on G/I_n, 3-4 on G/I_{min(n+1,L)}: one packed
+    # convolution per pair, read on the quotient; sup_total is tiled up as K grows
+    axes = {"cc": (~mask_x, ~mask_y), "cs": (~mask_x, mask_y), "sc": (mask_x, ~mask_y)}
+    vanishing = dict.fromkeys(axes, 0.0)
+    sup_total = np.zeros((1, 1))
     below_depth_max = 0.0
-    sup_total = np.zeros((size, size))
+    period, means = 0, None
     for n in range(1, structure.depth + 1):
-        total_n = np.zeros((size, size), dtype=np.complex128)
-        for comp in range(1, 5):
-            grid = v_component_grid(f, n, comp)
-            sup_comp[comp] = np.maximum(sup_comp[comp], np.abs(grid))
-            total_n += grid
+        total_n = np.zeros((1, 1))
+        for pair, K in (((1, 2), n), ((3, 4), min(n + 1, structure.depth))):
+            quotient = structure.quotient(K)
+            if quotient.size != period:
+                period, means = quotient.size, _coset_means(f, quotient.size)
+            kernels = [[v_kernel_table(quotient, n, comp)] for comp in pair]
+            grids = _v_convolutions(means, quotient, kernels)
+            for comp, grid in zip(pair, grids):
+                for name, comps in _REGION_VANISHING.items():
+                    if comp in comps:
+                        # a region meets G/I_K in the residues mod M_K of its points
+                        rx, ry = (m.reshape(-1, period).any(axis=0) for m in axes[name])
+                        top = np.abs(grid[np.ix_(rx, ry)]).max(initial=0.0)
+                        vanishing[name] = max(vanishing[name], float(top))
+            total_n = _lift(total_n, period) + grids[0] + grids[1]
+            del grids  # one packed result alive at a time
         if n < N:
             below_depth_max = max(below_depth_max, float(np.abs(total_n).max()))
-        sup_total = np.maximum(sup_total, np.abs(total_n))
+        sup_total = np.maximum(_lift(sup_total, period), np.abs(total_n))
+    sup_total[sup_total <= _ZERO_FLOOR * sup_total.max()] = 0.0
 
-    regions = {
-        "cc": np.outer(~mask_x, ~mask_y),
-        "cs": np.outer(~mask_x, mask_y),
-        "sc": np.outer(mask_x, ~mask_y),
-    }
     integrals = {
-        name: float((sup_total[mask] ** p).sum() / size**2)
-        for name, mask in regions.items()
+        name: float((sup_total[np.outer(*m)] ** p).sum() / size**2) for name, m in axes.items()
     }
-    vanishing = {}
-    for name, comps in _REGION_VANISHING.items():
-        mask = regions[name]
-        vanishing[name] = float(
-            max(sup_comp[comp][mask].max() if mask.any() else 0.0 for comp in comps)
-        )
     return QuasiLocalityReport(
         p=p,
         support_depth=N,
@@ -233,6 +236,7 @@ def weak_type_check(
 def hardy_quasinorm(f: SampledFunction, p: float) -> float:
     """||f||_{H_p} = ||f*||_p with f* the martingale maximal function;
     sup f* for p = infinity."""
+    require_arity(f, 2, "hardy_quasinorm")
     p = check_exponent(p)
     star = maximal_function_grid(f)
     if p == np.inf:

@@ -11,20 +11,12 @@ period M_{min(j+1,L)}, so the dot reads the gather's sums over the cosets
 of that level; they are taken fine to coarse, each level's sums from the
 level above, so a point's whole W sequence costs about (4/3) M_L^2 reads
 at radix 2 rather than L M_L^2.  ``_w_values`` is the one W route, for a
-point or a batch: per call it fetches the kernels and reads the sample
-once, as float64 when the sample is real, and per point it takes one
-gather (two ``take`` calls) and the modulus in place on it: at (2,) depth 8
-these take 0.11-0.17 ms a point for a real sample, where the complex
-modulus of the whole grid and an ``np.ix_`` gather took 0.44-0.59 ms
-(2-vCPU VM, one BLAS thread).
+point or a batch.
 
 ``means_error`` sets the error of a Marcinkiewicz-Fejer mean at a point
 beside its majorant (1/n) sum_j M_j W_j.  ``lebesgue_reports`` sets each W
-sequence beside the errors of the means sigma_{M_j} f.  The order-M_j
-multiplier vanishes outside the leading M_j x M_j coefficients, whose
-characters depend only on the digits below j, so sigma_{M_j} f is a function
-on the quotient G/I_j: one M_j x M_j inverse of that block of f's transform,
-read at (x mod M_j, y mod M_j).
+sequence beside the errors of the means sigma_{M_j} f, each a function on
+the quotient G/I_j.
 
 The components V_n^(1..4) re-express the same geometry with indicator
 weights instead of the r product, applied to f itself:
@@ -56,11 +48,16 @@ indicator point by point.
 On the whole grid each V_n^(c) is a group convolution f * H with a stored
 kernel H (``v_kernel_table``).  H depends only on the digits below K = n
 for components 1-2 and K = min(n + 1, L) for components 3-4, so f * H is
-constant on I_K x I_K cosets.  ``v_component_grid`` and ``v_sup_grid``
-therefore convolve on the quotient G/I_K (``GroupStructure.quotient``): f's
-coset means against the kernel built on the quotient, an M_K x M_K problem
-in place of an M_L x M_L one, tiled back over the grid.  The verbatim
-per-point route they are checked against is ``oracles.v_component``.
+constant on I_K x I_K cosets and is convolved on the quotient G/I_K
+(``GroupStructure.quotient``): f's coset means m against the kernel built
+there, an M_K x M_K problem in place of an M_L x M_L one.  Every V grid
+goes through ``_v_convolutions``, which packs two real kernels into one
+complex kernel: m * (H_a + i H_b) = m * H_a + i (m * H_b) for a real m, so
+components 1-2 of an order, its components 3-4, and the summed kernels of
+orders L - 1 and L each take one convolution.  A complex sample goes
+through the same helper, with one call per part of m.  Sups over the
+orders stay on the current quotient and are tiled up (``_lift``) only as K
+grows.  The verbatim per-point route is ``oracles.v_component``.
 
 Shift positions beyond the truncation depth (the s = L boundary terms at
 order L) are dropped; for grid-resolved functions those terms integrate a
@@ -161,9 +158,7 @@ def _w_values(f: SampledFunction, xs, ys, orders) -> np.ndarray:
     imaginary part is zero everywhere, since |a - c| of real parts is the
     complex modulus hypot(a - c, 0) bit for bit, and as complex128 otherwise.
     Each point then takes one gather of its differences (two ``take`` calls)
-    and its modulus in place, 0.11-0.17 ms at (2,) depth 8 for a real
-    sample; the fold and the dots below take 0.14-0.21 ms of a point's
-    0.44-0.54 ms.
+    and its modulus in place.
 
     K_j has period M_P, P = min(j + 1, L), so W_j needs the sums over the
     I_P x I_P cosets.  They are taken fine to coarse: the orders are visited
@@ -309,46 +304,66 @@ def _coset_means(f: SampledFunction, period: int) -> np.ndarray:
     return f.values.reshape(reps, period, reps, period).mean(axis=(0, 2))
 
 
-def _v_grid(f: SampledFunction, n: int, comps: Sequence[int]) -> np.ndarray:
-    """f * (the sum of the V_n^(c) kernels for c in ``comps``) on the whole grid.
+def _lift(grid: np.ndarray, size: int) -> np.ndarray:
+    """A function on G/I_K, given on its M_K x M_K square, on a grid of side ``size``."""
+    reps = size // grid.shape[0]
+    return grid if reps == 1 else np.tile(grid, (reps, reps))
 
-    The kernels depend only on the digits below K = min(n + 1, L) when a
-    component 3-4 is summed and below K = n otherwise, so the result is
-    constant on I_K x I_K cosets.  It is one convolution on the quotient
-    G/I_K, of f's coset means with the kernels built there, tiled back over
-    the grid.  K is at least 1: at n = 0 components 1-2 have no terms, and
-    their zero kernel lives on any quotient.
+
+def _v_convolutions(means, quotient: GroupStructure, kernels: Sequence) -> list[np.ndarray]:
+    """m * H on G/I_K for f's coset means m and each of one or two real
+    kernels H, each given as the list of stored tables it sums.
+
+    Two kernels share one convolution with H_a + i H_b, summed into one
+    complex buffer, whose real and imaginary parts are m * H_a and m * H_b
+    when m is real; a complex m takes one such call per part.
     """
-    structure = f.structure
-    _check_order(structure, n)
-    quotient = structure.quotient(max(1, min(n + (max(comps) > 2), structure.depth)))
-    means = _coset_means(f, quotient.size)
-    kernel = sum(v_kernel_table(quotient, n, comp) for comp in comps)
-    coarse = convolve(SampledFunction(quotient, means), SampledFunction(quotient, kernel))
-    reps = structure.size // quotient.size
-    return np.tile(coarse.values, (reps, reps))
+    packed = np.zeros(means.shape, dtype=np.complex128)
+    for part, tables in zip((packed.real, packed.imag), kernels):
+        for table in tables:
+            part += table
+    kernel = SampledFunction(quotient, packed)
+    if len(kernels) == 1 or not means.imag.any():
+        whole = convolve(SampledFunction(quotient, means), kernel).values
+        return [whole] if len(kernels) == 1 else [whole.real, whole.imag]
+    real = convolve(SampledFunction(quotient, means.real), kernel).values
+    imag = convolve(SampledFunction(quotient, means.imag), kernel).values
+    return [real.real + 1j * imag.real, real.imag + 1j * imag.imag]
 
 
 def v_component_grid(f: SampledFunction, n: int, comp: int) -> np.ndarray:
-    """V_n^(comp) f on the whole grid, convolved on the quotient where its
-    kernel lives."""
+    """V_n^(comp) f on the whole grid, convolved on the quotient G/I_K where
+    its kernel lives and tiled back: K = n for components 1-2 and min(n + 1, L)
+    for 3-4, at least 1 (at n = 0 components 1-2 have no terms)."""
     require_arity(f, 2, "v_component_grid")
-    return _v_grid(f, n, (comp,))
+    structure = f.structure
+    _check_order(structure, n)
+    quotient = structure.quotient(max(1, min(n + (comp > 2), structure.depth)))
+    means = _coset_means(f, quotient.size)
+    grid = _v_convolutions(means, quotient, [[v_kernel_table(quotient, n, comp)]])[0]
+    return _lift(grid, structure.size)
 
 
 def v_sup_grid(f: SampledFunction) -> np.ndarray:
     """V f = sup_{1<=n<=L} |V_n f| on the whole grid.
 
-    V_n f = f * (H_1 + ... + H_4) by linearity, so each order takes one
-    convolution with the summed kernel.  The sum depends only on the digits
-    below K = min(n + 1, L), so the convolution runs on the quotient G/I_K,
-    whose four stored kernels are summed per call, and is tiled back.
+    V_n f = f * (H_1 + ... + H_4) by linearity, and the sum lives on the
+    quotient G/I_K, K = min(n + 1, L).  Orders L - 1 and L share G/I_L, so
+    their summed kernels share one call; every other order takes one.  The
+    running sup stays on the current quotient and is tiled up as K grows.
     """
     require_arity(f, 2, "v_sup_grid")
     structure = f.structure
-    out = np.zeros((structure.size, structure.size))
-    for n in range(1, structure.depth + 1):
-        out = np.maximum(out, np.abs(_v_grid(f, n, range(1, 5))))
+    L = structure.depth
+    groups = [[n] for n in range(1, L - 1)] + [list(range(max(1, L - 1), L + 1))]
+    out = np.zeros((1, 1))
+    for group in groups:
+        quotient = structure.quotient(min(group[0] + 1, L))
+        means = _coset_means(f, quotient.size)
+        kernels = [[v_kernel_table(quotient, n, c) for c in range(1, 5)] for n in group]
+        out = _lift(out, quotient.size)
+        for grid in _v_convolutions(means, quotient, kernels):
+            out = np.maximum(out, np.abs(grid))
     return out
 
 
@@ -356,15 +371,14 @@ def v_sup_grid(f: SampledFunction) -> np.ndarray:
 
 
 def maximal_function_grid(f: SampledFunction) -> np.ndarray:
-    """f*(x, y) = sup_{0<=n<=L} |average of f over I_n(x) x I_n(y)|."""
+    """f*(x, y) = sup_{0<=n<=L} |average of f over I_n(x) x I_n(y)|, the
+    running sup kept on each quotient G/I_n and tiled up as n grows."""
     require_arity(f, 2, "maximal_function_grid")
     structure = f.structure
-    size = structure.size
-    out = np.zeros((size, size))
+    out = np.zeros((1, 1))
     for n in range(structure.depth + 1):
         Mn = structure.orders[n]
-        reps = size // Mn
-        out = np.maximum(out, np.abs(np.tile(_coset_means(f, Mn), (reps, reps))))
+        out = np.maximum(_lift(out, Mn), np.abs(_coset_means(f, Mn)))
     return out
 
 
@@ -471,4 +485,5 @@ def classify_point(
     index_base: int = 0,
 ) -> LebesgueReport:
     """W_1..W_L at a point, the companion mean errors, and the verdict."""
+    require_arity(f, 2, "classify_point")
     return lebesgue_reports(f, [(x, y)], index_base)[0]

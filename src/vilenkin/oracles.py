@@ -123,6 +123,7 @@ class OperatorProfile:
 def v_maximal(f: SampledFunction, x: int, y: int) -> OperatorProfile:
     """V f = sup_{1<=n<=L} |V_n f| with the per-component suprema alongside,
     from ``v_component``; the pointwise route of ``v_sup_grid``."""
+    require_arity(f, 2, "v_maximal")
     structure = f.structure
     orders = tuple(range(1, structure.depth + 1))
     comps = np.zeros((len(orders), 4), dtype=np.complex128)

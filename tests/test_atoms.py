@@ -9,10 +9,13 @@ from vilenkin import (
     make_structure,
     maximal_function_grid,
     quasilocality_integral,
+    v_component_grid,
     v_sup_grid,
     verify_atom,
     weak_type_check,
 )
+
+from vilenkin import atoms, operators
 
 from conftest import random_sample, translate
 
@@ -137,6 +140,84 @@ def test_quasilocality_translated_atom_matches_origin():
     # atoms drawn directly at a shifted center keep the exact vanishing too
     drawn = make_atom(s, 0.8, 1, center_x=5, center_y=7, seed=9)
     assert max(quasilocality_integral(drawn).vanishing_max.values()) < 1e-10
+
+
+def _from_the_component_grids(atom, p):
+    """quasilocality_integral's fields recomputed from v_component_grid, one
+    convolution per (order, component), summed per order."""
+    s = atom.structure
+    L, N = s.depth, atom.support_depth
+    grids = [[v_component_grid(atom.function, n, c) for c in range(1, 5)] for n in range(1, L + 1)]
+    totals = np.abs([sum(row) for row in grids])
+    sup_comp = np.abs(grids).max(axis=0)
+    sup_total = totals.max(axis=0)
+    sup_total[sup_total <= atoms._ZERO_FLOOR * sup_total.max()] = 0.0
+    mask_x, mask_y = atom.support_masks()
+    regions = {
+        "cc": np.outer(~mask_x, ~mask_y),
+        "cs": np.outer(~mask_x, mask_y),
+        "sc": np.outer(mask_x, ~mask_y),
+    }
+    integrals = {name: (sup_total[mask] ** p).sum() / s.size**2 for name, mask in regions.items()}
+    vanishing = {
+        name: max(sup_comp[c - 1][regions[name]].max() for c in comps)
+        for name, comps in atoms._REGION_VANISHING.items()
+    }
+    below = totals[: N - 1].max() if N > 1 else 0.0
+    return integrals, vanishing, below, sup_total.max()
+
+
+@pytest.mark.parametrize("radices, depth", [((2, 3), 4), ((3, 2, 5), 3)])
+def test_quasilocality_packed_route_matches_the_component_grids(radices, depth):
+    s = make_structure(radices, depth)
+    for seed, p, N in ((60816030, 0.6, 2), (3, 0.6, 1), (4, 1.0, 2)):
+        atom = make_atom(s, p, N, seed=seed)
+        report = quasilocality_integral(atom)
+        integrals, vanishing, below, top = _from_the_component_grids(atom, p)
+        # with the structural zeros floored, the routes agree to rounding
+        for name, want in integrals.items():
+            assert abs(report.region_integrals[name] - want) <= 1e-13 * want
+        # both routes read the structural zeros at rounding level
+        assert abs(report.below_depth_max - below) <= 1e-14 * top
+        for name, want in vanishing.items():
+            assert abs(report.vanishing_max[name] - want) <= 1e-14 * top
+
+
+def _count_convolve(monkeypatch) -> list:
+    calls = []
+    original = operators.convolve
+
+    def counting(f, g):
+        calls.append(f.structure.size)
+        return original(f, g)
+
+    monkeypatch.setattr(operators, "convolve", counting)
+    return calls
+
+
+@pytest.mark.parametrize("depth, N", [(1, 0), (2, 1), (4, 2)])
+def test_a_real_atom_packs_two_v_kernels_into_each_convolution(monkeypatch, depth, N):
+    s = make_structure((2, 3), depth)
+    atom = make_atom(s, 0.8, N, seed=11)
+    calls = _count_convolve(monkeypatch)
+    quasilocality_integral(atom)
+    # components 1-2 and 3-4 of each order share one call each
+    assert len(calls) == 2 * depth
+    calls.clear()
+    v_sup_grid(atom.function)
+    # orders L - 1 and L share one call on G/I_L
+    assert calls == [s.orders[min(n + 1, depth)] for n in range(1, max(depth, 2))]
+
+
+def test_a_complex_sample_takes_a_call_per_part_of_a_pair(monkeypatch, rng):
+    s = make_structure((2, 3), 4)
+    f = random_sample(s, rng)
+    calls = _count_convolve(monkeypatch)
+    v_sup_grid(f)
+    assert calls == [s.orders[2], s.orders[3], s.size, s.size]
+    calls.clear()
+    v_sup_grid(random_sample(s, rng, real=True))
+    assert calls == [s.orders[2], s.orders[3], s.size]
 
 
 def test_quasilocality_rejects_invalid_atom():

@@ -135,6 +135,20 @@ def test_v_sup_grid_is_the_sup_of_the_summed_components(rng):
     np.testing.assert_allclose(v_sup_grid(f), want, rtol=0, atol=1e-9)
 
 
+@pytest.mark.parametrize("radices, depth", [((2, 3), 1), ((2, 3), 2), ((2, 3), 4), ((3, 2, 5), None)])
+@pytest.mark.parametrize("real", [True, False])
+def test_v_sup_grid_with_packed_orders_is_the_sup_of_the_summed_components(
+    rng, radices, depth, real
+):
+    # L = 1 has no pair; from L = 2 on, orders L - 1 and L share one call
+    s = make_structure(radices, depth)
+    f = random_sample(s, rng, real=real)
+    want = np.zeros((s.size, s.size))
+    for n in range(1, s.depth + 1):
+        want = np.maximum(want, np.abs(sum(v_component_grid(f, n, c) for c in range(1, 5))))
+    assert np.abs(v_sup_grid(f) - want).max() <= 1e-12 * want.max()
+
+
 def test_linf_bound_observed_and_stable_across_depths(rng):
     per_depth = []
     for radices in [(2, 3), (2, 3, 2), (2, 3, 2, 3)]:
@@ -432,17 +446,12 @@ def test_two_dimensional_operators_reject_a_1d_sample(rng):
         "partial_sum_2d": lambda: means.partial_sum_2d(f1, 1, 1),
         "marcinkiewicz_means": lambda: marcinkiewicz_means(f1, 2),
         "weak_type_check": lambda: vilenkin.weak_type_check(f1),
+        "v_maximal": lambda: v_maximal(f1, 0, 0),
+        "classify_point": lambda: classify_point(f1, 0, 0),
+        "hardy_quasinorm": lambda: vilenkin.hardy_quasinorm(f1, 1.0),
     }
     for name, call in own.items():
         with pytest.raises(ValueError, match=f"^{name} needs a 2-D sample$"):
-            call()
-    # these leave the check to a callee
-    for call in (
-        lambda: v_maximal(f1, 0, 0),
-        lambda: classify_point(f1, 0, 0),
-        lambda: vilenkin.hardy_quasinorm(f1, 1.0),
-    ):
-        with pytest.raises(ValueError, match="needs a 2-D sample"):
             call()
     f2 = random_sample(s, rng)
     with pytest.raises(ValueError, match="needs a 1-D sample"):
