@@ -148,17 +148,35 @@ def _w_kernel(structure: GroupStructure, j: int) -> np.ndarray:
     return structure.table(("w_kernel", j), build)
 
 
+def _translations(structure: GroupStructure, xs):
+    """For each x in ``xs``, the row x - t over every t in [0, M_L), one at a time.
+
+    Digit-wise subtraction has no carries, so with M_h the order nearest
+    M_L / M_h, x - t = (x_hi - t_hi) M_h + (x_lo - t_lo), each difference
+    digit-wise.  The two half tables of differences are made with two ``sub``
+    calls, and each row is then their broadcast sum, O(M_L) per point.
+    """
+    size = structure.size
+    half = min(structure.orders, key=lambda Mh: Mh**2 + (size // Mh) ** 2)
+    lows, highs = np.arange(half), np.arange(0, size, half)
+    low = structure.sub(lows[:, None], lows)
+    high = structure.sub(highs[:, None], highs)
+    for x in np.asarray(xs).ravel().tolist():
+        yield (high[x // half, :, None] + low[x % half]).ravel()
+
+
 def _w_values(f: SampledFunction, xs, ys, orders) -> np.ndarray:
     """W_j(x, y; f) for j in ``orders`` at one point or at arrays of points:
     each K_j dotted with the coset sums of |f(x - t, y - u) - f(x, y)|.
 
     A scalar point gives shape ``(len(orders),)``, arrays of points
-    ``(points, len(orders))``.  The stored kernels are fetched once per call,
-    and the sample is read once: as a float64 copy of its real part when its
-    imaginary part is zero everywhere, since |a - c| of real parts is the
-    complex modulus hypot(a - c, 0) bit for bit, and as complex128 otherwise.
-    Each point then takes one gather of its differences (two ``take`` calls)
-    and its modulus in place.
+    ``(points, len(orders))``.  The stored kernels and the reshapes that
+    fold each level are worked out once per call, and the sample is read
+    once: as a float64 copy of its real part when its imaginary part is zero
+    everywhere, since |a - c| of real parts is the complex modulus
+    hypot(a - c, 0) bit for bit, and as complex128 otherwise.  Each point then
+    takes one gather of its differences (two ``take`` calls along the rows of
+    ``_translations``) and its modulus in place.
 
     K_j has period M_P, P = min(j + 1, L), so W_j needs the sums over the
     I_P x I_P cosets.  They are taken fine to coarse: the orders are visited
@@ -170,24 +188,31 @@ def _w_values(f: SampledFunction, xs, ys, orders) -> np.ndarray:
     """
     structure = f.structure
     orders = list(orders)
-    kernels = [(j, _w_kernel(structure, j)) for j in sorted(set(orders), reverse=True)]
+    plan, level = [], structure.depth
+    for j in sorted(set(orders), reverse=True):
+        kernel = _w_kernel(structure, j)
+        folds = []
+        while structure.orders[level] > len(kernel):
+            level -= 1
+            m, period = structure.radices[level], structure.orders[level]
+            folds.append((m, period, m, period))
+        plan.append((j, kernel, folds))
     values = f.values
     if not values.imag.any():
         values = np.ascontiguousarray(values.real)
-    everything = np.arange(structure.size)
     xs, ys = np.asarray(xs), np.asarray(ys)
     out = np.empty((xs.size, len(orders)))
-    for row, (x, y) in enumerate(zip(xs.ravel().tolist(), ys.ravel().tolist())):
-        sums = values.take(structure.sub(x, everything), 0).take(structure.sub(y, everything), 1)
+    points = zip(
+        xs.ravel().tolist(), ys.ravel().tolist(), _translations(structure, xs), _translations(structure, ys)
+    )
+    for row, (x, y, x_rows, y_rows) in enumerate(points):
+        sums = values.take(x_rows, 0).take(y_rows, 1)
         sums -= values[x, y]
         sums = np.abs(sums, out=sums if sums.dtype == np.float64 else None)
-        level = structure.depth
         w = {}
-        for j, kernel in kernels:
-            while structure.orders[level] > len(kernel):
-                level -= 1
-                m, period = structure.radices[level], structure.orders[level]
-                sums = sums.reshape(m, period, m, period).sum(axis=(0, 2))
+        for j, kernel, folds in plan:
+            for shape in folds:
+                sums = sums.reshape(shape).sum(axis=(0, 2))
             w[j] = np.vdot(kernel, sums)
         out[row] = [w[j] for j in orders]
     return out.reshape(xs.shape + (len(orders),))

@@ -112,6 +112,7 @@ def test_oracles_read_no_fast_route():
         "v_kernel_table",
         "_v_convolutions",
         "_lift",
+        "_translations",
         "maximal_function_grid",
     }
     assert sorted(fast & names_read(sources()["oracles.py"])) == []

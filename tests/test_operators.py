@@ -377,6 +377,36 @@ def test_lebesgue_reports_call_w_values_once_per_batch(monkeypatch, rng):
     assert reports[0][1] == reports[0][2]
 
 
+@pytest.mark.parametrize(
+    "radices, depth",
+    [((2,), 8), ((2, 3), 6), ((3, 2, 5), None), ((67,), None), ((2, 67), None), ((3,), 1)],
+)
+def test_translation_rows_equal_the_group_difference(radices, depth):
+    s = make_structure(radices, depth)
+    xs = np.arange(s.size)
+    rows = list(operators._translations(s, xs))
+    assert np.array_equal(rows, s.sub(xs[:, None], np.arange(s.size)))
+
+
+def test_lebesgue_reports_make_as_many_sub_calls_on_48_points_as_on_5(monkeypatch):
+    s = make_structure((2,), 8)
+    f = random_sample(s, np.random.default_rng(3), real=True)
+    calls = []
+    sub = vilenkin.GroupStructure.sub
+
+    def counted(self, x, y):
+        calls.append(1)
+        return sub(self, x, y)
+
+    monkeypatch.setattr(vilenkin.GroupStructure, "sub", counted)
+    counts = []
+    for size in (5, 48):
+        calls.clear()
+        lebesgue_reports(f, np.random.default_rng(size).integers(s.size, size=(size, 2)))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] < 2 * 5
+
+
 def test_lebesgue_reports_reject_a_1d_sample_and_a_bad_index_base(rng):
     s = make_structure((2, 3))
     with pytest.raises(ValueError, match="2-D"):

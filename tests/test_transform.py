@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from vilenkin import (
     SampledFunction,
     Spectrum,
+    character_table,
     convolve,
     forward,
     inverse,
@@ -14,7 +17,8 @@ from vilenkin import (
     vilenkin,
     vilenkin_column,
 )
-from vilenkin.transform import digit_blocks
+from vilenkin.group import GroupStructure
+from vilenkin.transform import BLOCK_POINTS, _block_matrix, digit_blocks
 
 from conftest import oracle_forward_1d, random_sample, translate
 
@@ -100,11 +104,12 @@ def test_fast_equals_naive_2d(radices, rng):
     np.testing.assert_allclose(inverse(forward(f)).values, f.values, atol=1e-12)
 
 
-# radix lists with their digit blocks: several blocks, a trailing one-digit
-# block, and radices above BLOCK_POINTS, which are blocks of their own
+# radix lists with their digit blocks: balanced blocks, a tie of sizes that
+# keeps the larger block first, and radices above BLOCK_POINTS, which are
+# blocks of their own
 BLOCKINGS = [
-    ((2, 3, 2, 3, 2, 3), ((3, 2, 3, 2), (3, 2))),
-    ((2, 2, 2, 2, 2, 2, 2), ((2, 2, 2, 2, 2, 2), (2,))),
+    ((2, 3, 2, 3, 2, 3), ((3, 2, 3), (2, 3, 2))),
+    ((2, 2, 2, 2, 2, 2, 2), ((2, 2, 2, 2), (2, 2, 2))),
     ((67,), ((67,),)),
     ((2, 67), ((67,), (2,))),
 ]
@@ -114,6 +119,35 @@ BLOCKINGS = [
 def test_digit_blocks(radices, blocks):
     s = make_structure(radices)
     assert digit_blocks(s) == blocks
+
+
+def _every_cut(digits):
+    """Every cut of ``digits`` into contiguous runs."""
+    for mask in range(2 ** (len(digits) - 1)):
+        blocks, start = [], 0
+        for i in range(1, len(digits)):
+            if mask >> (i - 1) & 1:
+                blocks.append(digits[start:i])
+                start = i
+        yield tuple(blocks) + (digits[start:],)
+
+
+def test_digit_blocks_are_the_fewest_then_the_smallest_cut(rng):
+    for _ in range(60):
+        radices = [int(m) for m in rng.choice([2, 3, 5, 7], size=int(rng.integers(1, 10)))]
+        if rng.random() < 0.5:
+            radices.insert(int(rng.integers(len(radices) + 1)), 67)
+        s = GroupStructure(radices, grid_cap=10**40)
+        digits = tuple(reversed(s.radices))
+        valid = [
+            cut
+            for cut in _every_cut(digits)
+            if all(len(block) == 1 or math.prod(block) <= BLOCK_POINTS for block in cut)
+        ]
+        best = min((len(cut), sum(map(math.prod, cut))) for cut in valid)
+        blocks = digit_blocks(s)
+        assert blocks in valid
+        assert (len(blocks), sum(map(math.prod, blocks))) == best
 
 
 @pytest.mark.parametrize("arity", [1, 2])
@@ -134,8 +168,59 @@ def test_blocked_transform_equals_naive_and_round_trips(radices, arity, rng):
 def test_radix_above_the_block_cap_stores_no_dense_matrix(rng):
     s = make_structure((2, 67))
     inverse(forward(random_sample(s, rng)))
-    # the two 2x2 DFT matrices (forward and conjugate) and nothing of size 67
-    assert s.table_stats()["bytes"] == 2 * 2 * 2 * 16
+    # one real 2x2 Hadamard matrix for both signs and nothing of size 67
+    assert s.table_stats()["bytes"] == 2 * 2 * 8
+
+
+@pytest.mark.parametrize("arity", [1, 2])
+@pytest.mark.parametrize("depth", range(1, 9))
+def test_walsh_transform_of_a_real_sample_is_real(depth, arity, rng):
+    s = make_structure((2,), depth)
+    f = random_sample(s, rng, arity=arity, real=True)
+    spectrum = forward(f)
+    assert not spectrum.coefficients.imag.any()
+    np.testing.assert_allclose(spectrum.coefficients, naive_forward(f).coefficients, rtol=0, atol=1e-12)
+    back = inverse(spectrum).values
+    assert not back.imag.any()
+    np.testing.assert_allclose(back, f.values, rtol=0, atol=1e-12)
+
+
+def test_one_imaginary_sample_point_takes_the_complex_transform(rng):
+    s = make_structure((2,), 5)
+    values = random_sample(s, rng, real=True).values.copy()
+    values[-1, -1] += 0.5j
+    f = SampledFunction(s, values)
+    coeffs = forward(f).coefficients
+    np.testing.assert_allclose(coeffs, naive_forward(f).coefficients, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(inverse(Spectrum(s, coeffs)).values, values, rtol=0, atol=1e-12)
+    # the real part alone gives other coefficients, so a transform that
+    # dropped the imaginary point would fail above
+    real_part = forward(SampledFunction(s, values.real)).coefficients
+    assert np.abs(coeffs - real_part).min() > 0.5 / s.size**2 - 1e-12
+
+
+def test_walsh_convolution_theorem(rng):
+    s = make_structure((2,), 5)
+    for real in (True, False):
+        f = random_sample(s, rng, arity=1, real=real)
+        g = random_sample(s, rng, arity=1, real=real)
+        lhs = forward(convolve(f, g)).coefficients
+        rhs = forward(f).coefficients * forward(g).coefficients
+        np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(convolve(f, g).values, naive_convolve(f, g).values, rtol=0, atol=1e-10)
+
+
+def test_walsh_blocks_are_one_real_hadamard_table_and_others_stay_complex():
+    walsh = make_structure((2,), 8)
+    for block in digit_blocks(walsh):
+        table = _block_matrix(walsh, block, -1)
+        assert table is _block_matrix(walsh, block, 1)
+        assert table.dtype == np.float64
+        assert np.array_equal(table, np.sign(character_table(make_structure(block)).real))
+    mixed = make_structure((2, 3), 6)
+    for block in digit_blocks(mixed):
+        for sign in (-1, 1):
+            assert _block_matrix(mixed, block, sign).dtype == np.complex128
 
 
 def test_convolution_theorem(rng):
