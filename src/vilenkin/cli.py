@@ -16,6 +16,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -423,6 +424,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     else:
         if args.points is not None and args.points < 1:
             return _usage_error(f"--points must be >= 1, got {args.points}")
+        # every check would pass at a NaN or infinite tolerance
+        if not (math.isfinite(args.tol) and args.tol >= 0):
+            return _usage_error(f"--tol must be finite and >= 0, got {args.tol}")
         try:
             radices = tuple(int(tok) for tok in args.radices.split(","))
             structure = make_structure(radices, args.depth)

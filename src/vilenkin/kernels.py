@@ -23,6 +23,7 @@ pinned by theory.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,23 +97,63 @@ def _dirichlet_stack(structure: GroupStructure, n: int) -> np.ndarray:
     return stack
 
 
-def _kernel_sums(structure: GroupStructure, arity: int):
-    """Yield (n, n K_n) for n = 1 .. M_L - 1 by running sums.
+def _kernel_sums(structure: GroupStructure):
+    """Yield (n, n K_n) of the 2-D kernel for n = 1 .. M_L - 1 by running sums.
 
-    ``n K_n`` is ``sum_{k<n} D_k`` for arity 1 and ``sum_{k<n} D_k (x) D_k``
-    for arity 2.  Each step adds one character row to ``D`` and one term to
-    the sum, in the order the cumsum of ``_dirichlet_stack`` and the row sum
-    of ``fejer_kernel_1d`` add them.  The yielded array is updated in place
-    by the next step.
+    ``n K_n`` is ``sum_{k<n} D_k (x) D_k``.  Each step adds one character row
+    to ``D`` and one outer product to the sum, in the order the cumsum of
+    ``_dirichlet_stack`` adds the rows.  The yielded array is updated in
+    place by the next step.  The 1-D sums are taken a block of orders at a
+    time by ``_fejer_sum_blocks``.
     """
     table = character_table(structure)
     dirichlet = np.zeros(structure.size, dtype=np.complex128)
-    total = np.zeros((structure.size,) * arity, dtype=np.complex128)
+    total = np.zeros((structure.size,) * 2, dtype=np.complex128)
     for n in range(1, structure.size):
         if n > 1:
             dirichlet += table[n - 2]  # D_{n-1} = D_{n-2} + psi_{n-2}
-        total += dirichlet if arity == 1 else np.multiply.outer(dirichlet, dirichlet)
+        total += np.multiply.outer(dirichlet, dirichlet)
         yield n, total
+
+
+# most bytes one block of the 1-D walk holds, its carried row included
+WALK_BLOCK_BYTES = 4 * 2**20
+
+
+def _fejer_sum_blocks(structure: GroupStructure):
+    """Yield (orders, sums) for n = 1 .. M_L - 1, a block of orders at a
+    time; row i of ``sums`` is ``n K_n = sum_{k<n} D_k`` of the 1-D kernel
+    at ``n = orders[i]``.
+
+    Blocks never straddle an order level, and a level takes as many blocks
+    as keep each within ``WALK_BLOCK_BYTES`` (one order per block if a row
+    alone is larger), so memory stays O(M_L) rows of M_L values, not the
+    O(M_L^2) of a whole level.  The rows ``D_{n-1}`` are a sequential
+    ``cumsum`` of character rows that continues the previous block's last
+    ``D``, and ``S_n`` a second ``cumsum`` of those rows that continues the
+    last ``S``: the terms are added one at a time in the order of
+    ``fejer_kernel_1d``, so every sum is the kernel's to the last bit.
+    """
+    table = character_table(structure)
+    size = structure.size
+    step = max(1, WALK_BLOCK_BYTES // (table.itemsize * size) - 1)
+    dirichlet = np.zeros(size, dtype=np.complex128)
+    total = np.zeros(size, dtype=np.complex128)
+    for A in range(structure.depth):
+        for start in range(structure.orders[A], structure.orders[A + 1], step):
+            stop = min(start + step, structure.orders[A + 1])
+            block = np.empty((stop - start + 1, size), dtype=np.complex128)
+            # D_{n-1} = D_{n-2} + psi_{n-2}; at n = 1 nothing is added to D_0 = 0
+            block[0] = dirichlet
+            first = max(start, 2)
+            block[1 : first - start + 1] = 0.0
+            block[first - start + 1 :] = table[first - 2 : stop - 2]
+            np.cumsum(block, axis=0, out=block)
+            dirichlet = block[-1].copy()
+            block[0] = total  # S_n = S_{n-1} + D_{n-1}
+            np.cumsum(block, axis=0, out=block)
+            total = block[-1].copy()
+            yield np.arange(start, stop), block[1:]
 
 
 def check_index_base(index_base: int) -> None:
@@ -260,6 +301,37 @@ def _fejer_table(structure: GroupStructure, n: int) -> np.ndarray:
 # array call equals the scalar calls at its elements to the last bit.  Terms
 # that vanish at a point are added as exact zeros, which leave a non-negative
 # total unchanged.
+#
+# A shifted block kernel needs no digit arithmetic.  z - k e_s lies in I_l iff
+# the digits of z below l are those of k e_s below l: for s < l that is
+# z mod M_l = k M_s, and for s >= l the shift leaves those digits alone, so it
+# is z mod M_l = 0.
+
+
+def _shifted_block(structure: GroupStructure, level: int, s: int, k: int, z):
+    """D_{M_level}(z - k e_s) in closed form, M_level * [z - k e_s in I_level]."""
+    Ml = structure.orders[level]
+    target = k * structure.orders[s] if s < level else 0
+    out = np.where(np.asarray(z) % Ml == target, float(Ml), 0.0)
+    return out if out.ndim else float(out)
+
+
+def _shift_block_sum(structure: GroupStructure, level: int, s: int, z):
+    """sum_{k=1}^{m_s-1} D_{M_level}(z - k e_s) in closed form.
+
+    For s < level at most one shift lands z in I_level, the one that clears
+    digit s, so the sum is M_level where z mod M_level is a nonzero multiple
+    k M_s below M_{s+1}.  For s >= level the m_s - 1 terms are equal.  Either
+    way the sum of the terms is exact.
+    """
+    Ml, Ms = structure.orders[level], structure.orders[s]
+    residue = np.asarray(z) % Ml
+    if s < level:
+        hit = (residue % Ms == 0) & (residue >= Ms) & (residue < structure.orders[s + 1])
+        out = np.where(hit, float(Ml), 0.0)
+    else:
+        out = np.where(residue == 0, float((structure.radices[s] - 1) * Ml), 0.0)
+    return out if out.ndim else float(out)
 
 
 def block_shift_majorant(
@@ -319,9 +391,8 @@ def double_shift_majorant(
     for s in range(min(A, structure.depth - 1) + 1):
         Ms = structure.orders[s]
         for xs in range(1, structure.radices[s]):
-            z = structure.sub(x, xs * Ms)
             for j in range(s, A + 1):
-                terms[j, s, xs] = Ms * block_dirichlet(structure, j, z)
+                terms[j, s, xs] = Ms * _shifted_block(structure, j, s, xs, x)
     first = 0.0
     for j in range(A + 1):
         for s in range(min(j, structure.depth - 1) + 1):
@@ -343,6 +414,8 @@ def kernel_majorant_2d(
     """Four-sum majorant for n |K_n(x, y)| with r-weights and block shifts."""
     A = structure.index_order(n)
     w = structure.add(x, y)
+    Dx = [block_dirichlet(structure, k, x) for k in range(A + 1)]
+    Dy = [block_dirichlet(structure, k, y) for k in range(A + 1)]
     shift_sums: dict = {}
 
     def shift_sum(level: int, s: int, axis: int):
@@ -351,11 +424,7 @@ def kernel_majorant_2d(
         # is summed once
         key = (level, s, axis)
         if key not in shift_sums:
-            z, Ms = (x, y)[axis], structure.orders[s]
-            shift_sums[key] = sum(
-                block_dirichlet(structure, level, structure.sub(z, zs * Ms))
-                for zs in range(1, structure.radices[s])
-            )
+            shift_sums[key] = _shift_block_sum(structure, level, s, (x, y)[axis])
         return shift_sums[key]
 
     total = 0.0
@@ -365,20 +434,16 @@ def kernel_majorant_2d(
             Mq = structure.orders[q]
             for k in range(q, j):
                 r = r_factor_table(structure, k + 1, j - 1)[w]
-                Dx = block_dirichlet(structure, k, x)
-                Dy = block_dirichlet(structure, k, y)
                 shift_y, shift_x = shift_sum(k, q, 1), shift_sum(k, q, 0)
-                total += r * Mq * (Dx * shift_y + Dy * shift_x)
+                total += r * Mq * (Dx[k] * shift_y + Dy[k] * shift_x)
     # two boundary groups: block kernel at level j on one axis, single-shift
     # majorant blocks on the other
     for j in range(A + 1):
-        Djx = block_dirichlet(structure, j, x)
-        Djy = block_dirichlet(structure, j, y)
         for s in range(min(j, structure.depth - 1) + 1):
             Ms = structure.orders[s]
             for i in range(s, j + 1):
                 shift_y, shift_x = shift_sum(i, s, 1), shift_sum(i, s, 0)
-                total += Ms * (Djx * shift_y + Djy * shift_x)
+                total += Ms * (Dx[j] * shift_y + Dy[j] * shift_x)
     return total
 
 
@@ -387,19 +452,26 @@ def kernel_majorant_2d(
 
 def _ratio_rows(rhs: np.ndarray, tol: float):
     """Row builder for the orders of one level, which share the RHS: its
-    support and the masks on it are taken once."""
-    positive = rhs > 0
-    rhs_positive, vanishing = rhs[positive], ~positive
+    support and the points off it are taken once.  The builder takes a block
+    of orders and their left sides, one flattened grid per row, and reduces
+    the block along its rows."""
+    rhs = rhs.ravel()
+    support = rhs > 0
+    positive, vanishing = support.nonzero()[0], (~support).nonzero()[0]
+    rhs_positive = rhs[positive]
 
-    def row(order: int, lhs: np.ndarray) -> dict:
-        ratios = lhs[positive] / rhs_positive
-        return {
-            "n": int(order),
-            "max_ratio": float(ratios.max()) if ratios.size else 0.0,
-            "zero_mismatches": int(np.count_nonzero(lhs[vanishing] > tol)),
-        }
+    def rows(orders, lhs: np.ndarray) -> list[dict]:
+        ratios = lhs.take(positive, axis=1)
+        ratios /= rhs_positive
+        maxima = ratios.max(axis=1).tolist() if positive.size else [0.0] * len(lhs)
+        # a sum of booleans along a row is its count of nonzeros
+        counts = (lhs.take(vanishing, axis=1) > tol).sum(axis=1).tolist()
+        return [
+            {"n": int(n), "max_ratio": m, "zero_mismatches": c}
+            for n, m, c in zip(orders, maxima, counts)
+        ]
 
-    return row
+    return rows
 
 
 def estimate_scan(
@@ -414,40 +486,55 @@ def estimate_scan(
     Orders run over A in [1, L-1] for est1 and n in [1, M_L) for the others,
     so every shifted block kernel stays representable on the truncated grid.
     A majorant depends on n only through its level A = |n|, so each is
-    evaluated once per level, on the whole grid at once.
+    evaluated once per level, on the whole grid at once.  ``tol``, the LHS
+    above which a point where the RHS vanishes counts as a mismatch, must be
+    finite and non-negative.
 
-    The left sides n |K_n| come from one walk over the orders that keeps the
-    running sum S_n = n K_n (``_kernel_sums``), in place of a kernel rebuilt
-    per order.  Each left side is ``n * |S_n / n|``, as the kernels give it:
-    they divide the same sum by n, and ``n * (S / n)`` need not be S to the
-    last bit.  In 1-D the walk adds the rows in the kernels' order, so the
-    left side equals ``n * |fejer_kernel_1d(n)|`` bit for bit.  In 2-D the
-    einsum of ``marcinkiewicz_kernel`` groups its terms differently, so grid
-    values may differ in the last bits; the rows are the rebuilt kernels'
-    through (2,3) depth 5, and 17 of the 215 lemma2 rows at depth 6 differ
-    in the last bit.
+    The left sides n |K_n| come from walks over the orders that keep the
+    running sum S_n = n K_n, in place of a kernel rebuilt per order.  Each
+    left side is ``n * |S_n / n|``, as the kernels give it: they divide the
+    same sum by n, and ``n * (S / n)`` need not be S to the last bit.  In 1-D
+    (est2, fejer) the walk takes a block of orders at a time
+    (``_fejer_sum_blocks``): two sequential cumsums add the rows in the
+    kernels' order, so each left side equals ``n * |fejer_kernel_1d(n)|`` bit
+    for bit, and one block holds at most ``WALK_BLOCK_BYTES``, so memory
+    grows with M_L, not M_L^2.  In 2-D (lemma2) the walk steps one order at a
+    time (``_kernel_sums``), since one order's grid is already M_L^2 values;
+    the einsum of ``marcinkiewicz_kernel`` groups its terms differently, so
+    grid values may differ in the last bits; the rows are the rebuilt
+    kernels' through (2,3) depth 5, and 17 of the 215 lemma2 rows at depth 6
+    differ in the last bit.
+
+    est2, fejer and lemma2 take their shifted block kernels in closed form,
+    with no digit arithmetic.  est1's ``block_shift_majorant`` still shifts
+    with ``GroupStructure.sub``: it has L - 1 levels, not M_L orders, so its
+    scans are already the cheapest.
     """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     report = EstimateReport(estimate, structure.radices, structure.depth)
     xs = np.arange(structure.size)
+    level_starts = set(structure.orders)
     if estimate == "est1":
         for A in range(1, structure.depth):
             lhs = np.abs(_fejer_table(structure, structure.orders[A]))
             rhs = block_shift_majorant(
                 structure, A, xs, include_diagonal_shift=include_diagonal_shift
             )
-            report.per_order.append(_ratio_rows(rhs, tol)(A, lhs))
-        return report
-    if estimate in ("est2", "fejer"):
-        grid = (xs,)
+            report.per_order += _ratio_rows(rhs, tol)([A], lhs[None])
+    elif estimate in ("est2", "fejer"):
         majorant = scale_sum_majorant if estimate == "est2" else double_shift_majorant
+        for orders, sums in _fejer_sum_blocks(structure):
+            if orders[0] in level_starts:
+                rows = _ratio_rows(majorant(structure, int(orders[0]), xs), tol)
+            n = orders[:, None]
+            report.per_order += rows(orders, n * np.abs(sums / n))
     elif estimate == "lemma2":
         grid = (xs[:, None], xs[None, :])
-        majorant = kernel_majorant_2d
+        for n, total in _kernel_sums(structure):
+            if n in level_starts:
+                rows = _ratio_rows(kernel_majorant_2d(structure, n, *grid), tol)
+            report.per_order += rows([n], (n * np.abs(total / n)).reshape(1, -1))
     else:
         raise ValueError(f"unknown estimate id {estimate!r}")
-    level_starts = set(structure.orders)
-    for n, total in _kernel_sums(structure, len(grid)):
-        if n in level_starts:
-            row = _ratio_rows(majorant(structure, n, *grid), tol)
-        report.per_order.append(row(n, n * np.abs(total / n)))
     return report

@@ -163,3 +163,13 @@ def test_missing_out_directory_exits_2(tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "does not exist" in err
     assert not missing.parent.exists()
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+@pytest.mark.parametrize("experiment", ["estimates", "verify-kernels"])
+def test_a_tolerance_that_is_not_finite_and_non_negative_exits_2(capsys, experiment, tol):
+    code, out, err = run_cli(capsys, experiment, "--radices", "2,3", "--depth", "3", f"--tol={tol}")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "--tol must be finite and >= 0" in err

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from vilenkin import (
+    GroupStructure,
+    block_dirichlet,
     block_shift_majorant,
     dirichlet,
     dirichlet_shift,
@@ -21,7 +23,8 @@ from vilenkin import (
     scale_sum_majorant,
     vilenkin,
 )
-from vilenkin.kernels import _kernel_sums
+from vilenkin import kernels
+from vilenkin.kernels import _fejer_sum_blocks, _kernel_sums, _shift_block_sum, _shifted_block
 
 from conftest import oracle_dirichlet
 
@@ -309,15 +312,24 @@ def _rebuilt_rows(s, estimate, tol=1e-9):
     return rows
 
 
-@pytest.mark.parametrize("radices, depth", [((2, 3), 3), ((2, 3), 4), ((2, 3), 5), ((3, 2, 5), None)])
+@pytest.mark.parametrize(
+    "radices, depth",
+    [((2, 3), 3), ((2, 3), 4), ((2, 3), 5), ((3, 2, 5), None), ((2,), 6), ((5, 5), None)],
+)
 def test_kernel_walk_equals_the_rebuilt_kernels(radices, depth):
-    # the 1-D walk adds the kernel's rows in its order, so its left sides are
-    # the kernel's to the last bit; the 2-D einsum groups its terms otherwise,
-    # so grid values agree to a relative 1e-15 and the rows are equal here
+    # the 1-D block walk adds the kernel's rows in its order, so its left
+    # sides, taken as the scan takes them, are the kernel's to the last bit;
+    # the 2-D einsum groups its terms otherwise, so grid values agree to a
+    # relative 1e-15 and the rows are equal here
     s = make_structure(radices, depth)
-    for n, total in _kernel_sums(s, 1):
-        assert np.array_equal(n * np.abs(total / n), n * np.abs(fejer_kernel_1d(s, n).values)), n
-    for n, total in _kernel_sums(s, 2):
+    walked = []
+    for orders, sums in _fejer_sum_blocks(s):
+        n = orders[:, None]
+        for order, lhs in zip(orders.tolist(), n * np.abs(sums / n)):
+            assert np.array_equal(lhs, order * np.abs(fejer_kernel_1d(s, order).values)), order
+            walked.append(order)
+    assert walked == list(range(1, s.size))
+    for n, total in _kernel_sums(s):
         oracle = n * np.abs(marcinkiewicz_kernel(s, n).values)
         assert np.abs(n * np.abs(total / n) - oracle).max() <= 1e-15 * oracle.max(), n
     for estimate in ("est2", "fejer", "lemma2"):
@@ -330,7 +342,7 @@ def test_kernel_walk_at_depth_six_agrees_with_the_rebuilt_kernel():
     # the grid's largest value at the first and last order of every level
     s = make_structure((2, 3), 6)
     ends = {n for A in range(s.depth) for n in (s.orders[A], s.orders[A + 1] - 1)}
-    for n, total in _kernel_sums(s, 2):
+    for n, total in _kernel_sums(s):
         if n in ends:
             oracle = n * np.abs(marcinkiewicz_kernel(s, n).values)
             assert np.abs(n * np.abs(total / n) - oracle).max() <= 1e-15 * oracle.max(), n
@@ -366,3 +378,100 @@ def test_array_calls_equal_their_scalar_calls(radices, depth):
         for j in range(s.orders[A]):
             for r in range(1, s.radices[A]):
                 check(dirichlet_shift(s, j, r, A, xs), [dirichlet_shift(s, j, r, A, a) for a in xs])
+
+
+CLOSED_FORM_CASES = [((2, 3), d) for d in range(1, 6)] + [
+    ((3, 2, 5), None),
+    ((2,), 6),
+    ((5, 5), None),
+    ((7,), 2),
+]
+
+
+@pytest.mark.parametrize("radices, depth", CLOSED_FORM_CASES)
+def test_shifted_block_kernels_in_closed_form_equal_the_shifted_ones(radices, depth):
+    s = make_structure(radices, depth)
+    xs = np.arange(s.size)
+    for level in range(s.depth + 1):
+        for shift in range(s.depth):
+            shifted = [
+                block_dirichlet(s, level, s.sub(xs, k * s.orders[shift]))
+                for k in range(1, s.radices[shift])
+            ]
+            for k, want in enumerate(shifted, start=1):
+                closed = _shifted_block(s, level, shift, k, xs)
+                assert np.array_equal(closed, want), (level, shift, k)
+            closed = _shift_block_sum(s, level, shift, xs)
+            assert np.array_equal(closed, sum(shifted)), (level, shift)
+            for x in range(s.size):
+                scalar = _shift_block_sum(s, level, shift, x)
+                assert isinstance(scalar, float) and scalar == sum(v[x] for v in shifted)
+                k = 1 + x % (s.radices[shift] - 1)
+                single = _shifted_block(s, level, shift, k, x)
+                assert isinstance(single, float) and single == shifted[k - 1][x]
+
+
+def test_est2_fejer_and_lemma2_make_no_group_difference(monkeypatch):
+    calls = []
+    sub = GroupStructure.sub
+
+    def counted(self, x, y):
+        calls.append(1)
+        return sub(self, x, y)
+
+    monkeypatch.setattr(GroupStructure, "sub", counted)
+    s = make_structure((2, 3), 4)
+    for estimate in ("est2", "fejer", "lemma2"):
+        estimate_scan(s, estimate)
+    assert calls == []
+    # est1's block_shift_majorant still shifts by digit arithmetic
+    estimate_scan(s, "est1")
+    assert calls
+
+
+@pytest.mark.parametrize(
+    "estimate, name",
+    [
+        ("est2", "scale_sum_majorant"),
+        ("fejer", "double_shift_majorant"),
+        ("lemma2", "kernel_majorant_2d"),
+    ],
+)
+def test_each_majorant_is_evaluated_once_per_level(monkeypatch, estimate, name):
+    orders = []
+    majorant = getattr(kernels, name)
+
+    def counted(structure, n, *grid):
+        orders.append(n)
+        return majorant(structure, n, *grid)
+
+    monkeypatch.setattr(kernels, name, counted)
+    s = make_structure((2, 3), 4)
+    estimate_scan(s, estimate)
+    assert orders == list(s.orders[: s.depth])
+
+
+@pytest.mark.parametrize("rows", [1, 2, 5, 7])
+def test_a_level_over_several_blocks_gives_the_rows_of_one_block(monkeypatch, rows):
+    # (2,3) depth 4 has levels of 1, 4, 6 and 24 orders: 5 and 7 rows divide
+    # none of the last two, 2 divides both
+    s = make_structure((2, 3), 4)
+    whole = {estimate: estimate_scan(s, estimate).per_order for estimate in ("est2", "fejer")}
+    bound = (rows + 1) * 16 * s.size  # a block also holds the carried row
+    monkeypatch.setattr(kernels, "WALK_BLOCK_BYTES", bound)
+    blocks = [orders.tolist() for orders, _ in _fejer_sum_blocks(s)]
+    assert max(map(len, blocks)) == rows
+    assert [n for block in blocks for n in block] == list(range(1, s.size))
+    # no block straddles a level
+    assert all(s.index_order(block[0]) == s.index_order(block[-1]) for block in blocks)
+    assert len(blocks) > s.depth
+    for estimate, rows_whole in whole.items():
+        assert estimate_scan(s, estimate).per_order == rows_whole, estimate
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
+def test_estimate_scan_rejects_a_tolerance_that_is_not_finite_and_non_negative(tol):
+    s = make_structure((2, 3), 3)
+    for estimate in ("est1", "lemma2"):
+        with pytest.raises(ValueError, match="tol"):
+            estimate_scan(s, estimate, tol=tol)
