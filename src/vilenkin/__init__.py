@@ -29,7 +29,6 @@ from .group import DEFAULT_GRID_CAP, GroupStructure, make_structure
 from .kernels import (
     ESTIMATE_IDS,
     EstimateReport,
-    KernelTable,
     block_shift_majorant,
     double_shift_majorant,
     estimate_scan,
@@ -53,7 +52,6 @@ from .means import (
 )
 from .operators import (
     LebesgueReport,
-    classify_point,
     lebesgue_reports,
     maximal_function_grid,
     means_error,

@@ -9,13 +9,12 @@ sweeps reproduce bit-identical reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .group import GroupStructure
-from .operators import _coset_means, _lift, _v_convolutions, v_kernel_table
-from .operators import maximal_function_grid, v_sup_grid
+from .operators import _lift, _v_grids, maximal_function_grid, v_sup_grid
 from .sampled import SampledFunction, check_exponent, lp_norm, require_arity
 
 # generated atoms sit this far inside the sup-norm budget; keeps the bound
@@ -160,33 +159,28 @@ def quasilocality_integral(atom: Atom, p: Optional[float] = None) -> QuasiLocali
     mask_x, mask_y = atom.support_masks()
     size = structure.size
 
-    # components 1-2 of order n live on G/I_n, 3-4 on G/I_{min(n+1,L)}: one packed
-    # convolution per pair, read on the quotient; sup_total is tiled up as K grows
+    # every component of every order, convolved on the quotient G/I_K where it
+    # lives and read there; sup_total is tiled up as K grows
     axes = {"cc": (~mask_x, ~mask_y), "cs": (~mask_x, mask_y), "sc": (mask_x, ~mask_y)}
     vanishing = dict.fromkeys(axes, 0.0)
     sup_total = np.zeros((1, 1))
     below_depth_max = 0.0
-    period, means = 0, None
-    for n in range(1, structure.depth + 1):
-        total_n = np.zeros((1, 1))
-        for pair, K in (((1, 2), n), ((3, 4), min(n + 1, structure.depth))):
-            quotient = structure.quotient(K)
-            if quotient.size != period:
-                period, means = quotient.size, _coset_means(f, quotient.size)
-            kernels = [[v_kernel_table(quotient, n, comp)] for comp in pair]
-            grids = _v_convolutions(means, quotient, kernels)
-            for comp, grid in zip(pair, grids):
-                for name, comps in _REGION_VANISHING.items():
-                    if comp in comps:
-                        # a region meets G/I_K in the residues mod M_K of its points
-                        rx, ry = (m.reshape(-1, period).any(axis=0) for m in axes[name])
-                        top = np.abs(grid[np.ix_(rx, ry)]).max(initial=0.0)
-                        vanishing[name] = max(vanishing[name], float(top))
-            total_n = _lift(total_n, period) + grids[0] + grids[1]
-            del grids  # one packed result alive at a time
-        if n < N:
-            below_depth_max = max(below_depth_max, float(np.abs(total_n).max()))
-        sup_total = np.maximum(_lift(sup_total, period), np.abs(total_n))
+    specs = [(n, (comp,)) for n in range(1, structure.depth + 1) for comp in range(1, 5)]
+    for (n, (comp,)), grid in zip(specs, _v_grids(f, specs)):
+        period = len(grid)
+        for name, comps in _REGION_VANISHING.items():
+            if comp in comps:
+                # a region meets G/I_K in the residues mod M_K of its points
+                rx, ry = (m.reshape(-1, period).any(axis=0) for m in axes[name])
+                top = np.abs(grid[np.ix_(rx, ry)]).max(initial=0.0)
+                vanishing[name] = max(vanishing[name], float(top))
+        if comp == 1:
+            total_n = np.zeros((1, 1))
+        total_n = _lift(total_n, period) + grid
+        if comp == 4:
+            if n < N:
+                below_depth_max = max(below_depth_max, float(np.abs(total_n).max()))
+            sup_total = np.maximum(_lift(sup_total, period), np.abs(total_n))
     sup_total[sup_total <= _ZERO_FLOOR * sup_total.max()] = 0.0
 
     integrals = {
@@ -203,13 +197,11 @@ def quasilocality_integral(atom: Atom, p: Optional[float] = None) -> QuasiLocali
     )
 
 
-def weak_type_check(
-    f: SampledFunction, lambdas: Optional[Sequence[float]] = None
-) -> float:
-    """sup over the lambda grid of lambda * mu{V f > lambda} / ||f||_1.
+def weak_type_check(f: SampledFunction) -> float:
+    """sup over a lambda grid of lambda * mu{V f > lambda} / ||f||_1.
 
-    The default lambda grid is geometric and relative to max V f, so the
-    ratio is exactly invariant under f -> c f.
+    The lambda grid is geometric and relative to max V f, so the ratio is
+    exactly invariant under f -> c f.
     """
     require_arity(f, 2, "weak_type_check")
     norm1 = lp_norm(f, 1.0)
@@ -219,15 +211,9 @@ def weak_type_check(
     top = float(vf.max())
     if top == 0.0:
         return 0.0
-    if lambdas is None:
-        lambdas = top * np.geomspace(1e-3, 1.0, 61)
-    else:
-        lambdas = np.asarray(lambdas, dtype=float)
-        if np.any(lambdas <= 0):
-            raise ValueError("lambda grid must be positive")
     size = f.structure.size
     best = 0.0
-    for lam in lambdas:
+    for lam in top * np.geomspace(1e-3, 1.0, 61):
         measure = float(np.count_nonzero(vf > lam)) / size**2
         best = max(best, lam * measure)
     return best / norm1

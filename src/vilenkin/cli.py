@@ -78,7 +78,7 @@ def run_verify_kernels(structure: GroupStructure, args) -> dict:
     # grid's largest |M_A K_{M_A}| at each level A
     err = 0.0
     for A in range(1, structure.depth + 1):
-        lhs = structure.orders[A] * marcinkiewicz_kernel(structure, structure.orders[A]).values
+        lhs = structure.orders[A] * marcinkiewicz_kernel(structure, structure.orders[A])
         rhs = kernel_decomposition_rhs(structure, A, xs[:, None], xs[None, :])
         err = max(err, float(np.abs(lhs - rhs).max() / np.abs(lhs).max()))
     suites.append(

@@ -30,25 +30,8 @@ import numpy as np
 
 from .characters import block_dirichlet, character_table
 from .group import GroupStructure
-from .sampled import SampledFunction
 
 ESTIMATE_IDS = ("est1", "est2", "fejer", "lemma2")
-
-
-@dataclass(frozen=True, eq=False)
-class KernelTable:
-    """A kernel tabulated on the full grid."""
-
-    structure: GroupStructure
-    order: int
-    values: np.ndarray
-
-    @property
-    def arity(self) -> int:
-        return self.values.ndim
-
-    def as_function(self) -> SampledFunction:
-        return SampledFunction(self.structure, self.values)
 
 
 @dataclass
@@ -162,28 +145,24 @@ def check_index_base(index_base: int) -> None:
         raise ValueError("index_base must be 0 or 1")
 
 
-def fejer_kernel_1d(structure: GroupStructure, n: int, index_base: int = 0) -> KernelTable:
+def fejer_kernel_1d(structure: GroupStructure, n: int, index_base: int = 0) -> np.ndarray:
     """K_n(x) = (1/n) sum D_k(x), k running over [base, n + base)."""
     n = int(n)
     if not 1 <= n <= structure.size:
         raise ValueError(f"kernel order {n} not in [1, {structure.size}]")
     check_index_base(index_base)
     stack = _dirichlet_stack(structure, n + index_base)
-    values = stack[index_base:].sum(axis=0) / n
-    return KernelTable(structure, n, values)
+    return stack[index_base:].sum(axis=0) / n
 
 
-def marcinkiewicz_kernel(
-    structure: GroupStructure, n: int, index_base: int = 0
-) -> KernelTable:
+def marcinkiewicz_kernel(structure: GroupStructure, n: int, index_base: int = 0) -> np.ndarray:
     """K_n(x, y) = (1/n) sum D_k(x) D_k(y), k running over [base, n + base)."""
     n = int(n)
     if not 1 <= n <= structure.size:
         raise ValueError(f"kernel order {n} not in [1, {structure.size}]")
     check_index_base(index_base)
     stack = _dirichlet_stack(structure, n + index_base)[index_base:]
-    values = np.einsum("kx,ky->xy", stack, stack)
-    return KernelTable(structure, n, values / n)
+    return np.einsum("kx,ky->xy", stack, stack) / n
 
 
 # -- the coupling factor r ------------------------------------------------------
@@ -291,7 +270,7 @@ def kernel_decomposition_rhs(structure: GroupStructure, A: int, x, y):
 
 
 def _fejer_table(structure: GroupStructure, n: int) -> np.ndarray:
-    return structure.table(("fejer", n), lambda: fejer_kernel_1d(structure, n).values)
+    return structure.table(("fejer", n), lambda: fejer_kernel_1d(structure, n))
 
 
 # -- estimate majorants ----------------------------------------------------------
@@ -300,20 +279,14 @@ def _fejer_table(structure: GroupStructure, n: int) -> np.ndarray:
 # other, and sums the same terms in the same order at every element, so an
 # array call equals the scalar calls at its elements to the last bit.  Terms
 # that vanish at a point are added as exact zeros, which leave a non-negative
-# total unchanged.
+# total unchanged.  Each majorant checks its points once at entry; the helpers
+# it calls per shift (``block_dirichlet``, ``GroupStructure.add`` and ``sub``)
+# do not check them.
 #
 # A shifted block kernel needs no digit arithmetic.  z - k e_s lies in I_l iff
 # the digits of z below l are those of k e_s below l: for s < l that is
 # z mod M_l = k M_s, and for s >= l the shift leaves those digits alone, so it
 # is z mod M_l = 0.
-
-
-def _shifted_block(structure: GroupStructure, level: int, s: int, k: int, z):
-    """D_{M_level}(z - k e_s) in closed form, M_level * [z - k e_s in I_level]."""
-    Ml = structure.orders[level]
-    target = k * structure.orders[s] if s < level else 0
-    out = np.where(np.asarray(z) % Ml == target, float(Ml), 0.0)
-    return out if out.ndim else float(out)
 
 
 def _shift_block_sum(structure: GroupStructure, level: int, s: int, z):
@@ -347,6 +320,7 @@ def block_shift_majorant(
     """
     if not 0 <= A <= structure.depth:
         raise ValueError(f"block level {A} not in [0, {structure.depth}]")
+    structure.check_points(x)
     s_top = A if include_diagonal_shift else A - 1
     s_top = min(s_top, structure.depth - 1)
     MA = structure.orders[A]
@@ -364,6 +338,7 @@ def scale_sum_majorant(
     structure: GroupStructure, n: int, x: int | np.ndarray
 ) -> float | np.ndarray:
     """Block Fejer majorant for n |K_n(x)|: sum_{j<=A} M_j |K_{M_j}(x)|."""
+    structure.check_points(x)
     A = structure.index_order(n)
     total = 0.0
     for j in range(A + 1):
@@ -385,24 +360,24 @@ def double_shift_majorant(
     evaluated in both summation orders (they agree by Fubini; an assertion
     guards the reordering at every point).
     """
+    structure.check_points(x)
     A = structure.index_order(n)
-    # each term M_s D_{M_j}(x - x_s e_s) is evaluated once, then added in both orders
-    terms = {}
-    for s in range(min(A, structure.depth - 1) + 1):
-        Ms = structure.orders[s]
-        for xs in range(1, structure.radices[s]):
-            for j in range(s, A + 1):
-                terms[j, s, xs] = Ms * _shifted_block(structure, j, s, xs, x)
+    s_top = min(A, structure.depth - 1)
+    # each term M_s sum_{x_s} D_{M_j}(x - x_s e_s) is evaluated once, then added
+    # in both orders; the terms are whole numbers, so both sums are exact
+    terms = {
+        (j, s): structure.orders[s] * _shift_block_sum(structure, j, s, x)
+        for s in range(s_top + 1)
+        for j in range(s, A + 1)
+    }
     first = 0.0
     for j in range(A + 1):
         for s in range(min(j, structure.depth - 1) + 1):
-            for xs in range(1, structure.radices[s]):
-                first += terms[j, s, xs]
+            first += terms[j, s]
     second = 0.0
-    for s in range(min(A, structure.depth - 1) + 1):
+    for s in range(s_top + 1):
         for j in range(s, A + 1):
-            for xs in range(1, structure.radices[s]):
-                second += terms[j, s, xs]
+            second += terms[j, s]
     if np.any(np.abs(first - second) > 1e-9 * np.maximum(1.0, np.abs(first))):
         raise AssertionError("summation reorderings disagree")
     return first
@@ -412,6 +387,7 @@ def kernel_majorant_2d(
     structure: GroupStructure, n: int, x: int | np.ndarray, y: int | np.ndarray
 ) -> float | np.ndarray:
     """Four-sum majorant for n |K_n(x, y)| with r-weights and block shifts."""
+    structure.check_points(x, y)
     A = structure.index_order(n)
     w = structure.add(x, y)
     Dx = [block_dirichlet(structure, k, x) for k in range(A + 1)]

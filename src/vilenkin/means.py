@@ -88,8 +88,8 @@ def marcinkiewicz_means(
         sums = (_masked_partial_sum(spectrum, j, j).values for j in range(index_base, n + index_base))
         return SampledFunction(f.structure, sum(sums) / n)
     if method == "kernel":
-        kern = marcinkiewicz_kernel(f.structure, n, index_base).as_function()
-        return convolve(f, kern)
+        kern = marcinkiewicz_kernel(f.structure, n, index_base)
+        return convolve(f, SampledFunction(f.structure, kern))
     raise ValueError(f"unknown method {method!r}; expected one of {_METHODS}")
 
 

@@ -51,11 +51,14 @@ for components 1-2 and K = min(n + 1, L) for components 3-4, so f * H is
 constant on I_K x I_K cosets and is convolved on the quotient G/I_K
 (``GroupStructure.quotient``): f's coset means m against the kernel built
 there, an M_K x M_K problem in place of an M_L x M_L one.  Every V grid
-goes through ``_v_convolutions``, which packs two real kernels into one
-complex kernel: m * (H_a + i H_b) = m * H_a + i (m * H_b) for a real m, so
-components 1-2 of an order, its components 3-4, and the summed kernels of
-orders L - 1 and L each take one convolution.  A complex sample goes
-through the same helper, with one call per part of m.  Sups over the
+comes from one engine, ``_v_grids``, which takes a list of kernels (n,
+comps), each the sum of the named components of order n, and alone holds
+the rule for K.  It packs two real kernels into one complex kernel:
+m * (H_a + i H_b) = m * H_a + i (m * H_b) for a real m, so two consecutive
+kernels, paired from the end of the list, take one convolution on the
+finer of their quotients.  Components 1-2 of an order then share one call
+and components 3-4 another, and the L summed kernels of ``v_sup_grid`` take
+ceil(L/2).  A complex sample takes one call per part of m.  Sups over the
 orders stay on the current quotient and are tiled up (``_lift``) only as K
 grows.  The verbatim per-point route is ``oracles.v_component``.
 
@@ -335,25 +338,44 @@ def _lift(grid: np.ndarray, size: int) -> np.ndarray:
     return grid if reps == 1 else np.tile(grid, (reps, reps))
 
 
-def _v_convolutions(means, quotient: GroupStructure, kernels: Sequence) -> list[np.ndarray]:
-    """m * H on G/I_K for f's coset means m and each of one or two real
-    kernels H, each given as the list of stored tables it sums.
+def _v_grids(f: SampledFunction, kernels: Sequence[tuple[int, Sequence[int]]]):
+    """Yield m * H for each kernel spec (n, comps), H = sum_{c in comps} H_n^(c),
+    in list order: m is f's coset means on the quotient G/I_K where H lives,
+    and each grid is given on its M_K x M_K square.
 
-    Two kernels share one convolution with H_a + i H_b, summed into one
-    complex buffer, whose real and imaginary parts are m * H_a and m * H_b
-    when m is real; a complex m takes one such call per part.
+    K = n when comps holds only components 1-2 and min(n + 1, L) otherwise,
+    at least 1.  Two consecutive kernels, paired from the end of the list (an
+    odd list leaves its first kernel alone), share one convolution on the
+    finer of their quotients with H_a + i H_b, summed into one complex
+    buffer, whose real and imaginary parts are m * H_a and m * H_b when m is
+    real; a complex m takes one such call per part.  The means are reused
+    while K is unchanged.
     """
-    packed = np.zeros(means.shape, dtype=np.complex128)
-    for part, tables in zip((packed.real, packed.imag), kernels):
-        for table in tables:
-            part += table
-    kernel = SampledFunction(quotient, packed)
-    if len(kernels) == 1 or not means.imag.any():
-        whole = convolve(SampledFunction(quotient, means), kernel).values
-        return [whole] if len(kernels) == 1 else [whole.real, whole.imag]
-    real = convolve(SampledFunction(quotient, means.real), kernel).values
-    imag = convolve(SampledFunction(quotient, means.imag), kernel).values
-    return [real.real + 1j * imag.real, real.imag + 1j * imag.imag]
+    structure = f.structure
+    depths = [max(1, min(n + (max(comps) > 2), structure.depth)) for n, comps in kernels]
+    lone = len(kernels) % 2
+    units = ([[0]] if lone else []) + [[i, i + 1] for i in range(lone, len(kernels), 2)]
+    period = 0
+    for unit in units:
+        quotient = structure.quotient(max(depths[i] for i in unit))
+        if quotient.size != period:
+            period, means = quotient.size, _coset_means(f, quotient.size)
+        packed = np.zeros(means.shape, dtype=np.complex128)
+        for part, i in zip((packed.real, packed.imag), unit):
+            n, comps = kernels[i]
+            for comp in comps:
+                part += v_kernel_table(quotient, n, comp)
+        kernel = SampledFunction(quotient, packed)
+        if len(unit) == 1 or not means.imag.any():
+            whole = convolve(SampledFunction(quotient, means), kernel).values
+            grids = [whole] if len(unit) == 1 else [whole.real, whole.imag]
+        else:
+            real = convolve(SampledFunction(quotient, means.real), kernel).values
+            imag = convolve(SampledFunction(quotient, means.imag), kernel).values
+            grids = [real.real + 1j * imag.real, real.imag + 1j * imag.imag]
+        for i, grid in zip(unit, grids):
+            side = structure.orders[depths[i]]
+            yield grid[:side, :side]
 
 
 def v_component_grid(f: SampledFunction, n: int, comp: int) -> np.ndarray:
@@ -361,34 +383,23 @@ def v_component_grid(f: SampledFunction, n: int, comp: int) -> np.ndarray:
     its kernel lives and tiled back: K = n for components 1-2 and min(n + 1, L)
     for 3-4, at least 1 (at n = 0 components 1-2 have no terms)."""
     require_arity(f, 2, "v_component_grid")
-    structure = f.structure
-    _check_order(structure, n)
-    quotient = structure.quotient(max(1, min(n + (comp > 2), structure.depth)))
-    means = _coset_means(f, quotient.size)
-    grid = _v_convolutions(means, quotient, [[v_kernel_table(quotient, n, comp)]])[0]
-    return _lift(grid, structure.size)
+    _check_order(f.structure, n)
+    (grid,) = _v_grids(f, [(n, (comp,))])
+    return _lift(grid, f.structure.size)
 
 
 def v_sup_grid(f: SampledFunction) -> np.ndarray:
     """V f = sup_{1<=n<=L} |V_n f| on the whole grid.
 
-    V_n f = f * (H_1 + ... + H_4) by linearity, and the sum lives on the
-    quotient G/I_K, K = min(n + 1, L).  Orders L - 1 and L share G/I_L, so
-    their summed kernels share one call; every other order takes one.  The
-    running sup stays on the current quotient and is tiled up as K grows.
+    V_n f = f * (H_1 + ... + H_4) by linearity, so each order is one summed
+    kernel, on G/I_K with K = min(n + 1, L); paired as ``_v_grids`` pairs
+    them, the L orders take ceil(L/2) convolutions.  The running sup stays on
+    the current quotient and is tiled up as K grows.
     """
     require_arity(f, 2, "v_sup_grid")
-    structure = f.structure
-    L = structure.depth
-    groups = [[n] for n in range(1, L - 1)] + [list(range(max(1, L - 1), L + 1))]
     out = np.zeros((1, 1))
-    for group in groups:
-        quotient = structure.quotient(min(group[0] + 1, L))
-        means = _coset_means(f, quotient.size)
-        kernels = [[v_kernel_table(quotient, n, c) for c in range(1, 5)] for n in group]
-        out = _lift(out, quotient.size)
-        for grid in _v_convolutions(means, quotient, kernels):
-            out = np.maximum(out, np.abs(grid))
+    for grid in _v_grids(f, [(n, (1, 2, 3, 4)) for n in range(1, f.structure.depth + 1)]):
+        out = np.maximum(_lift(out, len(grid)), np.abs(grid))
     return out
 
 
@@ -501,14 +512,3 @@ def lebesgue_reports(
         )
         for x, y, dx, dy, wv, errors in rows
     ]
-
-
-def classify_point(
-    f: SampledFunction,
-    x: int,
-    y: int,
-    index_base: int = 0,
-) -> LebesgueReport:
-    """W_1..W_L at a point, the companion mean errors, and the verdict."""
-    require_arity(f, 2, "classify_point")
-    return lebesgue_reports(f, [(x, y)], index_base)[0]

@@ -59,7 +59,7 @@ def test_criterion_01_kernel_decomposition_exact():
     s = make_structure((2, 3, 2, 3), 4)
     worst = 0.0
     for A in range(1, s.depth + 1):
-        lhs = s.orders[A] * marcinkiewicz_kernel(s, s.orders[A]).values
+        lhs = s.orders[A] * marcinkiewicz_kernel(s, s.orders[A])
         for x in range(s.size):
             for y in range(s.size):
                 worst = max(worst, abs(lhs[x, y] - kernel_decomposition_rhs(s, A, x, y)))

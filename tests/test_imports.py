@@ -11,7 +11,6 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "vilenkin"
 # public names that no package module reads, kept as library entry points; a
 # new public name that nothing reads fails the test until it is added here
 LIBRARY_ONLY = {
-    "classify_point",
     "dumps_csv",
     "fejer_means_1d",
     "haar_integrate",
@@ -110,12 +109,19 @@ def test_oracles_read_no_fast_route():
         "inverse",
         "convolve",
         "v_kernel_table",
-        "_v_convolutions",
+        "_v_grids",
         "_lift",
         "_translations",
         "maximal_function_grid",
     }
     assert sorted(fast & names_read(sources()["oracles.py"])) == []
+
+
+def test_atoms_reads_v_only_through_the_operators_engine():
+    # which quotient a V kernel lives on, and how kernels share a convolution,
+    # is decided in operators alone
+    internals = {"v_kernel_table", "quotient", "_coset_means", "convolve"}
+    assert sorted(internals & names_read(sources()["atoms.py"])) == []
 
 
 def test_every_private_definition_is_read_by_the_package():

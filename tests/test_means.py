@@ -167,8 +167,8 @@ def test_fejer_1d_matches_kernel_convolution(rng):
             kernel = fejer_kernel_1d(s, n, index_base)
             # K_n = (1/n) sum of D_k over k in [base, n + base)
             terms = sum(dirichlet_table(s, k) for k in range(index_base, n + index_base))
-            np.testing.assert_allclose(kernel.values, terms / n, rtol=0, atol=1e-12)
-            via_kernel = convolve(f, kernel.as_function())
+            np.testing.assert_allclose(kernel, terms / n, rtol=0, atol=1e-12)
+            via_kernel = convolve(f, SampledFunction(s, kernel))
             np.testing.assert_allclose(
                 fejer_means_1d(f, n, index_base).values, via_kernel.values, atol=1e-10
             )

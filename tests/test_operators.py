@@ -5,7 +5,6 @@ import vilenkin
 from vilenkin import means, operators, transform
 from vilenkin import (
     SampledFunction,
-    classify_point,
     lebesgue_reports,
     make_structure,
     marcinkiewicz_means,
@@ -135,12 +134,15 @@ def test_v_sup_grid_is_the_sup_of_the_summed_components(rng):
     np.testing.assert_allclose(v_sup_grid(f), want, rtol=0, atol=1e-9)
 
 
-@pytest.mark.parametrize("radices, depth", [((2, 3), 1), ((2, 3), 2), ((2, 3), 4), ((3, 2, 5), None)])
+@pytest.mark.parametrize(
+    "radices, depth", [((2, 3), 1), ((2, 3), 2), ((2, 3), 4), ((3, 2, 5), None), ((2, 3), 5)]
+)
 @pytest.mark.parametrize("real", [True, False])
 def test_v_sup_grid_with_packed_orders_is_the_sup_of_the_summed_components(
     rng, radices, depth, real
 ):
-    # L = 1 has no pair; from L = 2 on, orders L - 1 and L share one call
+    # orders pair from L down, each pair on the finer quotient of its two;
+    # an odd L leaves order 1 alone, and L = 5 has two pairs beside it
     s = make_structure(radices, depth)
     f = random_sample(s, rng, real=real)
     want = np.zeros((s.size, s.size))
@@ -195,7 +197,7 @@ def test_classify_interface_point_flags_divergence():
     s = make_structure((2,), 6)
     mask = np.arange(s.size) % 2 == 0
     f = SampledFunction(s, np.outer(mask, mask).astype(complex))
-    report = classify_point(f, 0, 0)
+    (report,) = lebesgue_reports(f, [(0, 0)])
     assert report.verdict == "non-converging"
     assert report.w_values[-1] > 0.2
 
@@ -203,7 +205,7 @@ def test_classify_interface_point_flags_divergence():
 def test_classify_report_serialization(rng):
     s = make_structure((2, 3))
     f = random_sample(s, rng)
-    report = classify_point(f, 3, 4)
+    (report,) = lebesgue_reports(f, [(3, 4)])
     payload = report.to_dict()
     assert set(payload) == {"x_digits", "y_digits", "W", "sigma_err", "verdict"}
     assert len(payload["W"]) == s.depth
@@ -425,7 +427,7 @@ def test_point_indices_out_of_range_rejected(rng):
             lambda: w_operator_2d(f, 0, bad, 1),
             lambda: w_sequence(f, bad, 0),
             lambda: v_component(f, 0, bad, 1, 1),
-            lambda: classify_point(f, bad, 0),
+            lambda: lebesgue_reports(f, [(bad, 0)]),
             lambda: lebesgue_reports(f, [(0, 0), (0, bad)]),
             lambda: maximal_function(f, bad, 0),
         ]
@@ -443,6 +445,11 @@ def test_point_indices_out_of_range_rejected(rng):
                 lambda point=point: vilenkin.r_factor_closed(s, 0, 1, 0, point),
                 lambda point=point: vilenkin.kernel_decomposition_rhs(s, 1, point, 0),
                 lambda point=point: vilenkin.kernel_decomposition_rhs(s, 1, 0, point),
+                lambda point=point: vilenkin.scale_sum_majorant(s, 3, point),
+                lambda point=point: vilenkin.double_shift_majorant(s, 3, point),
+                lambda point=point: vilenkin.block_shift_majorant(s, 1, point),
+                lambda point=point: vilenkin.kernel_majorant_2d(s, 3, point, 0),
+                lambda point=point: vilenkin.kernel_majorant_2d(s, 3, 0, point),
             ]
         for call in calls:
             with pytest.raises(ValueError, match="point index"):
@@ -477,7 +484,6 @@ def test_two_dimensional_operators_reject_a_1d_sample(rng):
         "marcinkiewicz_means": lambda: marcinkiewicz_means(f1, 2),
         "weak_type_check": lambda: vilenkin.weak_type_check(f1),
         "v_maximal": lambda: v_maximal(f1, 0, 0),
-        "classify_point": lambda: classify_point(f1, 0, 0),
         "hardy_quasinorm": lambda: vilenkin.hardy_quasinorm(f1, 1.0),
     }
     for name, call in own.items():
@@ -609,7 +615,8 @@ def test_one_atom_keeps_its_quotient_kernels_in_the_parent_budget():
     quotient_kernels = [
         table for key, table in tables.items() if key[0] == "quotient" and key[2][0] == "v_kernel"
     ]
-    # components 1-2 at n on G/I_n, components 3-4 and the sums at n on G/I_{n+1}
+    # components 1-2 at n on G/I_n and 3-4 on G/I_{n+1}; v_sup_grid reads every
+    # component of a pair of orders n, n + 1 on G/I_{min(n+2,L)}
     assert len(quotient_kernels) > 0
     # the parent keeps only the kernels whose quotient is the whole group
     assert all(key[1] >= s.depth - 1 for key in tables if key[0] == "v_kernel")
