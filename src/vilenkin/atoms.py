@@ -25,6 +25,10 @@ _SUP_MARGIN = 0.995
 # zeros carrying rounding, which a power p < 1 would make route-dependent
 _ZERO_FLOOR = 64 * np.finfo(np.float64).eps
 
+# how far verify_atom lets the mean, the sup bound and the off-support values
+# stray before it names a failed condition
+_ATOM_TOL = 1e-10
+
 
 @dataclass(frozen=True, eq=False)
 class Atom:
@@ -94,21 +98,20 @@ def make_atom(
     )
 
 
-def verify_atom(atom: Atom, tol: float = 1e-10) -> tuple[bool, dict]:
+def verify_atom(atom: Atom) -> tuple[bool, dict]:
     """Check the three atom conditions; diagnostics name any failure."""
-    structure = atom.structure
     values = atom.function.values
     mask_x, mask_y = atom.support_masks()
     off_support = values.copy()
     off_support[np.ix_(mask_x, mask_y)] = 0.0
     diagnostics = {}
-    if abs(values.mean()) > tol:
+    if abs(values.mean()) > _ATOM_TOL:
         diagnostics["mean"] = float(abs(values.mean()))
     sup = float(np.abs(values).max())
-    if sup > atom.sup_bound * (1.0 + tol):
+    if sup > atom.sup_bound * (1.0 + _ATOM_TOL):
         diagnostics["sup-bound"] = sup
     leak = float(np.abs(off_support).max())
-    if leak > tol:
+    if leak > _ATOM_TOL:
         diagnostics["support"] = leak
     return not diagnostics, diagnostics
 
@@ -146,10 +149,9 @@ class QuasiLocalityReport:
 _REGION_VANISHING = {"cc": (3, 4), "cs": (2, 4), "sc": (1, 3)}
 
 
-def quasilocality_integral(atom: Atom, p: Optional[float] = None) -> QuasiLocalityReport:
-    """Integral of (V a)^p over the complement regions, with the exact
-    vanishing patterns measured alongside."""
-    p = atom.p if p is None else check_exponent(p)
+def quasilocality_integral(atom: Atom) -> QuasiLocalityReport:
+    """Integral of (V a)^p, p the atom's exponent, over the complement
+    regions, with the exact vanishing patterns measured alongside."""
     ok, diagnostics = verify_atom(atom)
     if not ok:
         raise ValueError(f"invalid atom: {diagnostics}")
@@ -184,10 +186,10 @@ def quasilocality_integral(atom: Atom, p: Optional[float] = None) -> QuasiLocali
     sup_total[sup_total <= _ZERO_FLOOR * sup_total.max()] = 0.0
 
     integrals = {
-        name: float((sup_total[np.outer(*m)] ** p).sum() / size**2) for name, m in axes.items()
+        name: float((sup_total[np.outer(*m)] ** atom.p).sum() / size**2) for name, m in axes.items()
     }
     return QuasiLocalityReport(
-        p=p,
+        p=atom.p,
         support_depth=N,
         seed=atom.seed,
         region_integrals=integrals,

@@ -1,10 +1,12 @@
 """Command-line front door: verification suites and experiments.
 
 Each invocation runs one experiment and writes a JSON or CSV artifact
-(stdout by default).  Exit status is 1 exactly when an exact-identity
-assertion fails and 2 when the config is bad (a one-line ``error:`` message
-on stderr); monitored constants (estimate ratios, quasi-locality integrals)
-never fail the run, they are reported with a warning field.
+(stdout by default); ``EXPERIMENTS`` names the flags each experiment reads,
+and its parser takes those, ``--out`` and ``--format`` only.  Exit status is
+1 exactly when an exact-identity assertion fails and 2 when the invocation
+is bad, parser errors included (a one-line ``error:`` message on stderr);
+monitored constants (estimate ratios, quasi-locality integrals) never fail
+the run, they are reported with a warning field.
 
 Output for a fixed config and seed is deterministic byte for byte, except
 for the timing fields of transform-bench.
@@ -42,21 +44,12 @@ from .operators import (
     v_component_grid,
     v_sup_grid,
     w_operator_2d,
+    w_sequence,
 )
 from .oracles import naive_forward, v_component
 from .sampled import SampledFunction
 from .testfunctions import build_test_function, list_test_functions, parse_fn_spec
 from .transform import digit_blocks, forward
-
-EXPERIMENTS = (
-    "verify-kernels",
-    "verify-operators",
-    "estimates",
-    "convergence",
-    "atoms",
-    "transform-bench",
-    "list-functions",
-)
 
 
 def _random_function(structure: GroupStructure, rng, arity: int = 2) -> SampledFunction:
@@ -64,10 +57,15 @@ def _random_function(structure: GroupStructure, rng, arity: int = 2) -> SampledF
     return SampledFunction(structure, rng.normal(size=shape) + 1j * rng.normal(size=shape))
 
 
+def _structure(args) -> GroupStructure:
+    return make_structure(tuple(int(tok) for tok in args.radices.split(",")), args.depth)
+
+
 # -- experiments -----------------------------------------------------------------
 
 
-def run_verify_kernels(structure: GroupStructure, args) -> dict:
+def run_verify_kernels(args) -> dict:
+    structure = _structure(args)
     tol = args.tol
     rng = np.random.default_rng(args.seed)
     size = structure.size
@@ -129,7 +127,8 @@ def run_verify_kernels(structure: GroupStructure, args) -> dict:
     }
 
 
-def run_verify_operators(structure: GroupStructure, args) -> dict:
+def run_verify_operators(args) -> dict:
+    structure = _structure(args)
     tol = args.tol
     rng = np.random.default_rng(args.seed)
     size = structure.size
@@ -142,17 +141,17 @@ def run_verify_operators(structure: GroupStructure, args) -> dict:
         f = _random_function(structure, rng)
         for x, y in points:
             shifted = SampledFunction(structure, np.abs(f.values - f.values[x, y]))
+            w = w_sequence(f, x, y).tolist()
             for n in range(1, structure.depth + 1):
-                w = w_operator_2d(f, x, y, n)
                 v = sum(v_component(shifted, x, y, n, c).real for c in range(1, 5))
-                err = max(err, abs(w - v))
+                err = max(err, abs(w[n - 1] - v))
     suites.append({"name": "w-equals-v", "max_error": err, "exact": True})
 
     const = SampledFunction(structure, np.full((size, size), 1.7 - 0.3j))
+    # w_sequence starts at W_1, so W_0 comes from w_operator_2d
     err = max(
-        w_operator_2d(const, x, y, n)
+        max(w_operator_2d(const, x, y, 0), *w_sequence(const, x, y).tolist())
         for x, y in points
-        for n in range(structure.depth + 1)
     )
     suites.append({"name": "w-constant-zero", "max_error": err, "exact": True})
 
@@ -161,13 +160,9 @@ def run_verify_operators(structure: GroupStructure, args) -> dict:
     fg = SampledFunction(structure, f.values + g.values)
     err = 0.0
     for x, y in points:
+        w_fg, w_f, w_g = (w_sequence(h, x, y).tolist() for h in (fg, f, g))
         for n in range(1, structure.depth + 1):
-            err = max(
-                err,
-                w_operator_2d(fg, x, y, n)
-                - w_operator_2d(f, x, y, n)
-                - w_operator_2d(g, x, y, n),
-            )
+            err = max(err, w_fg[n - 1] - w_f[n - 1] - w_g[n - 1])
             for c in range(1, 5):
                 err = max(
                     err,
@@ -210,7 +205,8 @@ def run_verify_operators(structure: GroupStructure, args) -> dict:
     }
 
 
-def run_estimates(structure: GroupStructure, args) -> dict:
+def run_estimates(args) -> dict:
+    structure = _structure(args)
     reports = [estimate_scan(structure, name, tol=args.tol).to_dict() for name in ESTIMATE_IDS]
     alt = estimate_scan(structure, "est1", tol=args.tol, include_diagonal_shift=False)
     mismatches = sum(rep["zero_mismatches"] for rep in reports)
@@ -225,7 +221,8 @@ def run_estimates(structure: GroupStructure, args) -> dict:
     }
 
 
-def run_convergence(structure: GroupStructure, args) -> dict:
+def run_convergence(args) -> dict:
+    structure = _structure(args)
     name, params = parse_fn_spec(args.fn or "indicator")
     f = build_test_function(structure, name, **params)
     rng = np.random.default_rng(args.seed)
@@ -252,7 +249,8 @@ def run_convergence(structure: GroupStructure, args) -> dict:
     }
 
 
-def run_atoms(structure: GroupStructure, args) -> dict:
+def run_atoms(args) -> dict:
+    structure = _structure(args)
     tol = args.tol
     rng = np.random.default_rng(args.seed)
     count = args.points or 20
@@ -300,7 +298,8 @@ def run_atoms(structure: GroupStructure, args) -> dict:
     }
 
 
-def run_transform_bench(structure: GroupStructure, args) -> dict:
+def run_transform_bench(args) -> dict:
+    structure = _structure(args)
     rng = np.random.default_rng(args.seed)
     f = _random_function(structure, rng, arity=1)
     repeats = 5
@@ -335,6 +334,31 @@ def run_transform_bench(structure: GroupStructure, args) -> dict:
         ],
         "pass": bool(err <= args.tol),
     }
+
+
+def run_list_functions(args) -> dict:
+    return {"experiment": "list-functions", "functions": list_test_functions(), "pass": True}
+
+
+# each experiment's runner and the flags it reads, besides --out and --format
+EXPERIMENTS = {
+    "verify-kernels": (run_verify_kernels, ("radices", "depth", "tol", "seed")),
+    "verify-operators": (run_verify_operators, ("radices", "depth", "tol", "seed", "points")),
+    "estimates": (run_estimates, ("radices", "depth", "tol")),
+    "convergence": (run_convergence, ("radices", "depth", "seed", "fn", "points")),
+    "atoms": (run_atoms, ("radices", "depth", "tol", "seed", "points")),
+    "transform-bench": (run_transform_bench, ("radices", "depth", "tol", "seed")),
+    "list-functions": (run_list_functions, ()),
+}
+
+_FLAGS = {
+    "radices": {"required": True, "help": "comma-separated radix list"},
+    "depth": {"type": int, "help": "truncation depth (cycles the radix list)"},
+    "tol": {"type": float, "default": 1e-9, "help": "identity tolerance"},
+    "seed": {"type": int, "default": 0},
+    "fn": {"help": "test function spec, e.g. indicator:N=1,center=0"},
+    "points": {"type": int, "help": "sample size (points or atoms)"},
+}
 
 
 # -- output plumbing ---------------------------------------------------------------
@@ -372,39 +396,33 @@ def _write_artifact(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
         return
     tmp = f"{out}.tmp-{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        handle.write(text)
-    os.replace(tmp, out)
+    try:
+        with open(tmp, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(tmp, out)
+    finally:
+        # left only when the write or the replace failed
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
-RUNNERS = {
-    "verify-kernels": run_verify_kernels,
-    "verify-operators": run_verify_operators,
-    "estimates": run_estimates,
-    "convergence": run_convergence,
-    "atoms": run_atoms,
-    "transform-bench": run_transform_bench,
-}
+class _Parser(argparse.ArgumentParser):
+    """Raises its errors, so that they leave ``main`` as usage errors."""
+
+    def error(self, message: str):
+        raise ValueError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="vilenkin",
         description="verification suites and experiments on truncated Vilenkin groups",
     )
     sub = parser.add_subparsers(dest="experiment", required=True)
-    for name in EXPERIMENTS:
+    for name, (_, flags) in EXPERIMENTS.items():
         p = sub.add_parser(name)
-        if name == "list-functions":
-            p.add_argument("--format", choices=("csv", "json"), default="json")
-            p.add_argument("--out", default=None)
-            continue
-        p.add_argument("--radices", required=True, help="comma-separated radix list")
-        p.add_argument("--depth", type=int, default=None, help="truncation depth (cycles the radix list)")
-        p.add_argument("--tol", type=float, default=1e-9, help="identity tolerance")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--fn", default=None, help="test function spec, e.g. indicator:N=1,center=0")
-        p.add_argument("--points", type=int, default=None, help="sample size (points or atoms)")
+        for flag in flags:
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
         p.add_argument("--out", default=None, help="artifact path (stdout if omitted)")
         p.add_argument("--format", choices=("csv", "json"), default="json")
     return parser
@@ -416,28 +434,26 @@ def _usage_error(message: object) -> int:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
-        return _usage_error(f"--out directory of {args.out!r} does not exist")
-    if args.experiment == "list-functions":
-        payload = {"experiment": "list-functions", "functions": list_test_functions(), "pass": True}
-    else:
-        if args.points is not None and args.points < 1:
-            return _usage_error(f"--points must be >= 1, got {args.points}")
+    try:
+        args = build_parser().parse_args(argv)
+        if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
+            raise ValueError(f"--out directory of {args.out!r} does not exist")
+        # --points and --tol are checked where the experiment takes them
+        options = vars(args)
+        if options.get("points") is not None and args.points < 1:
+            raise ValueError(f"--points must be >= 1, got {args.points}")
         # every check would pass at a NaN or infinite tolerance
-        if not (math.isfinite(args.tol) and args.tol >= 0):
-            return _usage_error(f"--tol must be finite and >= 0, got {args.tol}")
-        try:
-            radices = tuple(int(tok) for tok in args.radices.split(","))
-            structure = make_structure(radices, args.depth)
-            payload = RUNNERS[args.experiment](structure, args)
-        except ValueError as exc:
-            return _usage_error(exc)
+        if "tol" in options and not (math.isfinite(args.tol) and args.tol >= 0):
+            raise ValueError(f"--tol must be finite and >= 0, got {args.tol}")
+        run, _ = EXPERIMENTS[args.experiment]
+        payload = run(args)
+    except ValueError as exc:
+        return _usage_error(exc)
     try:
         _write_artifact(_render(payload, args.format), args.out)
     except OSError as exc:
         return _usage_error(exc)
-    return 0 if payload.get("pass", True) else 1
+    return 0 if payload["pass"] else 1
 
 
 if __name__ == "__main__":

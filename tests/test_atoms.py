@@ -234,9 +234,6 @@ def test_quasilocality_rejects_invalid_atom():
     )
     with pytest.raises(ValueError, match="invalid atom"):
         quasilocality_integral(broken)
-    for p in (0, -1):
-        with pytest.raises(ValueError, match="invalid-exponent"):
-            quasilocality_integral(atom, p)
 
 
 def test_weak_type_ratio_properties(rng):

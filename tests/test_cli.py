@@ -1,5 +1,7 @@
+import argparse
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -145,6 +147,13 @@ def test_unknown_function_rejected(capsys):
         (("verify-operators", "--radices", "2,3", "--points", "-3"), "--points must be >= 1"),
         (("convergence", "--radices", "2,3", "--points", "0"), "--points must be >= 1"),
         (("atoms", "--radices", "2,3", "--depth", "1"), "atoms needs depth >= 2"),
+        (("estimates", "--radices", "2,3", "--seed", "1"), "unrecognized arguments: --seed 1"),
+        (("convergence", "--radices", "2,3", "--tol", "1e-9"), "unrecognized arguments: --tol 1e-9"),
+        (("verify-kernels", "--radices", "2,3", "--points", "3"), "unrecognized arguments: --points 3"),
+        (("estimates", "--radices", "2,3", "--bogus"), "unrecognized arguments: --bogus"),
+        (("estimates", "--depth", "3"), "the following arguments are required: --radices"),
+        (("estimates", "--radices", "2,3", "--depth", "x"), "argument --depth: invalid int value: 'x'"),
+        ((), "the following arguments are required: experiment"),
     ],
 )
 def test_bad_config_exits_2_with_one_line_error(capsys, argv, message):
@@ -173,3 +182,60 @@ def test_a_tolerance_that_is_not_finite_and_non_negative_exits_2(capsys, experim
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "--tol must be finite and >= 0" in err
+
+
+# the flags each experiment reads, besides --out and --format
+FLAGS_READ = {
+    "verify-kernels": {"--radices", "--depth", "--tol", "--seed"},
+    "verify-operators": {"--radices", "--depth", "--tol", "--seed", "--points"},
+    "estimates": {"--radices", "--depth", "--tol"},
+    "convergence": {"--radices", "--depth", "--seed", "--fn", "--points"},
+    "atoms": {"--radices", "--depth", "--tol", "--seed", "--points"},
+    "transform-bench": {"--radices", "--depth", "--tol", "--seed"},
+    "list-functions": set(),
+}
+
+
+def test_each_experiment_takes_only_the_flags_it_reads():
+    (experiments,) = (
+        action
+        for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    taken = {
+        name: {flag for action in parser._actions for flag in action.option_strings}
+        for name, parser in experiments.choices.items()
+    }
+    assert taken == {
+        name: flags | {"-h", "--help", "--out", "--format"} for name, flags in FLAGS_READ.items()
+    }
+
+
+@pytest.mark.parametrize("argv", [("-h",), ("estimates", "-h"), ("list-functions", "--help")])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        main(list(argv))
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: vilenkin")
+
+
+def test_every_readme_command_runs(tmp_path, monkeypatch):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    commands = [
+        line.split()[1:] for line in readme.read_text().splitlines() if line.startswith("vilenkin ")
+    ]
+    assert len(commands) == 7
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv) == 0, argv
+
+
+@pytest.mark.parametrize("suffix", ["", "/"])
+def test_out_naming_a_directory_exits_2_and_leaves_no_temp_file(tmp_path, capsys, suffix):
+    target = tmp_path / "artifacts"
+    target.mkdir()
+    code, out, err = run_cli(capsys, "list-functions", "--out", f"{target}{suffix}")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert list(tmp_path.rglob("*")) == [target]

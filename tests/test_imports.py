@@ -20,7 +20,6 @@ LIBRARY_ONLY = {
     "partial_sum_2d",
     "rademacher",
     "rademacher_power_sum",
-    "w_sequence",  # perfbench spans it by name
 }
 
 
