@@ -43,7 +43,6 @@ from .kernels import (
     scale_sum_majorant,
 )
 from .means import (
-    MeansEvaluation,
     evaluate_means,
     fejer_means_1d,
     marcinkiewicz_means,

@@ -126,24 +126,9 @@ class QuasiLocalityReport:
     on cc, components 2 and 4 on cs, and components 1 and 3 on sc.
     """
 
-    p: float
-    support_depth: int
-    seed: Optional[int]
     region_integrals: dict
-    total: float
     below_depth_max: float
     vanishing_max: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "N": self.support_depth,
-            "seed": self.seed,
-            "region_integrals": self.region_integrals,
-            "total": self.total,
-            "below_depth_max": self.below_depth_max,
-            "vanishing_max": self.vanishing_max,
-        }
 
 
 _REGION_VANISHING = {"cc": (3, 4), "cs": (2, 4), "sc": (1, 3)}
@@ -189,13 +174,7 @@ def quasilocality_integral(atom: Atom) -> QuasiLocalityReport:
         name: float((sup_total[np.outer(*m)] ** atom.p).sum() / size**2) for name, m in axes.items()
     }
     return QuasiLocalityReport(
-        p=atom.p,
-        support_depth=N,
-        seed=atom.seed,
-        region_integrals=integrals,
-        total=float(sum(integrals.values())),
-        below_depth_max=below_depth_max,
-        vanishing_max=vanishing,
+        region_integrals=integrals, below_depth_max=below_depth_max, vanishing_max=vanishing
     )
 
 

@@ -202,25 +202,20 @@ class GroupStructure:
 
     def add_outer(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Table of x + y over the cartesian product of two index arrays."""
-        xs = np.asarray(xs)
-        ys = np.asarray(ys)
-        dx = self.digit_table[xs][:, None, :]
-        dy = self.digit_table[ys][None, :, :]
-        return self._pack((dx + dy) % np.array(self.radices))
-
-    def basis_element(self, k: int) -> int:
-        """e_k, the element with digit 1 at position k; linear index M_k."""
-        if not 0 <= k < self.depth:
-            raise ValueError(f"basis position {k} not in [0, {self.depth})")
-        return self.orders[k]
+        self.check_points(xs, ys)
+        return self.add(np.asarray(xs)[:, None], np.asarray(ys)[None, :])
 
     # -- intervals and measure ------------------------------------------------
 
     def interval_indices(self, n: int, center: int = 0) -> np.ndarray:
-        """Linear indices of I_n(center), an arithmetic progression mod M_n."""
+        """Linear indices of I_n(center), an arithmetic progression mod M_n;
+        the center must be a point, an integer in [0, M_L)."""
         if not 0 <= n <= self.depth:
             raise ValueError(f"interval depth {n} not in [0, {self.depth}]")
-        base = int(center) % self.orders[n]
+        center = int(center)
+        if not 0 <= center < self.size:
+            raise ValueError(f"point index {center} not in [0, {self.size})")
+        base = center % self.orders[n]
         return base + self.orders[n] * np.arange(self.size // self.orders[n])
 
     # -- quotients ---------------------------------------------------------------

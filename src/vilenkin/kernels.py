@@ -464,7 +464,9 @@ def estimate_scan(
     A majorant depends on n only through its level A = |n|, so each is
     evaluated once per level, on the whole grid at once.  ``tol``, the LHS
     above which a point where the RHS vanishes counts as a mismatch, must be
-    finite and non-negative.
+    finite and non-negative.  ``include_diagonal_shift=False`` drops the
+    diagonal shift from est1's majorant; the other estimates do not read the
+    flag and reject it.
 
     The left sides n |K_n| come from walks over the orders that keep the
     running sum S_n = n K_n, in place of a kernel rebuilt per order.  Each
@@ -488,6 +490,8 @@ def estimate_scan(
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
+    if not include_diagonal_shift and estimate != "est1":
+        raise ValueError(f"include_diagonal_shift=False applies to est1 only, not {estimate!r}")
     report = EstimateReport(estimate, structure.radices, structure.depth)
     xs = np.arange(structure.size)
     level_starts = set(structure.orders)

@@ -17,8 +17,6 @@ one another:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .group import GroupStructure
@@ -27,16 +25,6 @@ from .sampled import SampledFunction, Spectrum, require_arity
 from .transform import convolve, forward, inverse
 
 _METHODS = ("direct", "multiplier", "kernel")
-
-
-@dataclass(frozen=True, eq=False)
-class MeansEvaluation:
-    """One mean evaluated by all three routes; ``result`` is the multiplier
-    route's."""
-
-    order: int
-    result: SampledFunction
-    max_discrepancy: float
 
 
 def partial_sum_2d(f: SampledFunction, M: int, N: int) -> SampledFunction:
@@ -93,17 +81,14 @@ def marcinkiewicz_means(
     raise ValueError(f"unknown method {method!r}; expected one of {_METHODS}")
 
 
-def evaluate_means(f: SampledFunction, n: int, index_base: int = 0) -> MeansEvaluation:
-    """Run all three routes and record their maximal pairwise discrepancy."""
-    results = {
-        method: marcinkiewicz_means(f, n, method, index_base) for method in _METHODS
-    }
+def evaluate_means(f: SampledFunction, n: int, index_base: int = 0) -> float:
+    """The largest pairwise discrepancy between the three routes' means."""
+    values = [marcinkiewicz_means(f, n, method, index_base).values for method in _METHODS]
     disc = 0.0
-    values = [results[m].values for m in _METHODS]
     for i in range(len(values)):
         for j in range(i + 1, len(values)):
             disc = max(disc, float(np.abs(values[i] - values[j]).max()))
-    return MeansEvaluation(order=n, result=results["multiplier"], max_discrepancy=disc)
+    return disc
 
 
 def fejer_means_1d(f: SampledFunction, n: int, index_base: int = 0) -> SampledFunction:

@@ -109,19 +109,18 @@ def v_component(f: SampledFunction, x: int, y: int, n: int, comp: int) -> comple
 
 @dataclass(frozen=True)
 class OperatorProfile:
-    """Per-order component values at a point and their truncated suprema."""
+    """Per-order component values at a point and the supremum of their sums."""
 
     x: int
     y: int
     orders: tuple[int, ...]
     components: np.ndarray  # (len(orders), 4) complex
     totals: np.ndarray  # (len(orders),) complex
-    component_sup: np.ndarray  # (4,) float
     total_sup: float
 
 
 def v_maximal(f: SampledFunction, x: int, y: int) -> OperatorProfile:
-    """V f = sup_{1<=n<=L} |V_n f| with the per-component suprema alongside,
+    """V f = sup_{1<=n<=L} |V_n f| with the per-order components alongside,
     from ``v_component``; the pointwise route of ``v_sup_grid``."""
     require_arity(f, 2, "v_maximal")
     structure = f.structure
@@ -137,7 +136,6 @@ def v_maximal(f: SampledFunction, x: int, y: int) -> OperatorProfile:
         orders=orders,
         components=comps,
         totals=totals,
-        component_sup=np.abs(comps).max(axis=0),
         total_sup=float(np.abs(totals).max()),
     )
 

@@ -158,7 +158,9 @@ def read_csv(stream: IO[str]) -> Union[SampledFunction, Spectrum]:
     if len(radices) != depth:
         raise ValueError("header depth does not match the radix list")
     structure = GroupStructure(radices)
-    kind = fields.get("kind", "sampled")
+    kind = fields.get("kind")
+    if kind not in (None, "spectrum"):
+        raise ValueError(f"unknown kind {kind!r} in header; a spectrum says kind=spectrum")
     rows = list(csv.reader(stream))
     rows = [r for r in rows if r]
     n = structure.size

@@ -26,7 +26,8 @@ def _indicator(structure: GroupStructure, N: int = 1, center: int = 0) -> Sample
     N = int(N)
     if not 0 <= N <= structure.depth:
         raise ValueError(f"indicator depth N={N} not in [0, {structure.depth}]")
-    mask = np.arange(structure.size) % structure.orders[N] == int(center) % structure.orders[N]
+    mask = np.zeros(structure.size, dtype=bool)
+    mask[structure.interval_indices(N, center)] = True
     return SampledFunction(structure, np.outer(mask, mask).astype(np.complex128))
 
 

@@ -119,7 +119,7 @@ def test_criterion_04_mean_route_agreement(rng):
         s = make_structure((2, 3), depth)
         f = random_sample(s, rng)
         for n in range(1, s.size + 1):
-            worst = max(worst, evaluate_means(f, n).max_discrepancy)
+            worst = max(worst, evaluate_means(f, n))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-9 and elapsed < 60.0
     _report("04", ok, f"max cross-route discrepancy {worst:.3e}, {elapsed:.1f}s")

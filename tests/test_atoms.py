@@ -53,6 +53,11 @@ def test_make_atom_validation():
         make_atom(s, 1.0, s.depth + 1)
     with pytest.raises(ValueError, match="single point"):
         make_atom(s, 1.0, s.depth)
+    # the recorded centers are points of the group, not integers reduced mod M_N
+    with pytest.raises(ValueError, match="point index -1 not in"):
+        make_atom(s, 0.8, 1, center_x=-1)
+    with pytest.raises(ValueError, match="point index 7 not in"):
+        make_atom(s, 0.8, 1, center_y=7)
 
 
 def test_verify_atom_diagnostics():

@@ -154,6 +154,8 @@ def test_unknown_function_rejected(capsys):
         (("estimates", "--depth", "3"), "the following arguments are required: --radices"),
         (("estimates", "--radices", "2,3", "--depth", "x"), "argument --depth: invalid int value: 'x'"),
         ((), "the following arguments are required: experiment"),
+        (("convergence", "--radices", "2,3", "--fn", "indicator:N=1,center=-1"), "point index -1 not in"),
+        (("convergence", "--radices", "2,3", "--fn", "indicator:center=6"), "point index 6 not in"),
     ],
 )
 def test_bad_config_exits_2_with_one_line_error(capsys, argv, message):
@@ -228,6 +230,13 @@ def test_every_readme_command_runs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for argv in commands:
         assert main(argv) == 0, argv
+
+
+def test_the_readme_library_quick_start_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = readme.split("```python\n")[1:]
+    assert len(blocks) == 1
+    exec(compile(blocks[0].split("```")[0], "README.md", "exec"), {})
 
 
 @pytest.mark.parametrize("suffix", ["", "/"])

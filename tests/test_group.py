@@ -95,6 +95,7 @@ def test_add_sub_examples():
     a = s.from_digits((0, 1))
     b = s.from_digits((0, 2))
     assert s.digits(s.sub(a, b)) == (0, 2)
+    assert s.digits(s.add(a, a)) == (0, 2)
 
 
 def test_abelian_group_axioms_exhaustive():
@@ -110,14 +111,13 @@ def test_abelian_group_axioms_exhaustive():
     assert all(table[(x, s.sub(0, x))] == 0 for x in elems)
 
 
-def test_basis_elements():
+def test_add_outer_is_add_over_the_product_and_rejects_points_outside_the_group():
     s = make_structure((2, 3))
-    assert s.digits(s.basis_element(0)) == (1, 0)
-    assert s.digits(s.basis_element(1)) == (0, 1)
-    e1 = s.basis_element(1)
-    assert s.digits(s.add(e1, e1)) == (0, 2)
-    with pytest.raises(ValueError):
-        s.basis_element(2)
+    xs, ys = np.array([0, 1, 5]), np.array([2, 3])
+    np.testing.assert_array_equal(s.add_outer(xs, ys), s.add(xs[:, None], ys[None, :]))
+    for xs, ys, bad in (([-1], [0], -1), ([0], [6], 6), ([0, 1], [2, -3], -3)):
+        with pytest.raises(ValueError, match=f"point index {bad} not in"):
+            s.add_outer(xs, ys)
 
 
 def test_in_interval():
@@ -126,6 +126,10 @@ def test_in_interval():
     center = s.from_digits((1, 2))
     assert all(center in s.interval_indices(n, center) for n in range(s.depth + 1))
     assert s.from_digits((1, 0)) not in s.interval_indices(1, 0)
+    # a center is a point, not an integer reduced mod M_n
+    for n, center in itertools.product(range(s.depth + 1), (-1, 6, 99)):
+        with pytest.raises(ValueError, match=f"point index {center} not in"):
+            s.interval_indices(n, center)
 
 
 def test_interval_measure_by_exhaustive_count():

@@ -66,6 +66,11 @@ def test_csv_malformed_inputs():
         loads_csv("radices=2,3;depth=3\n")
     with pytest.raises(ValueError, match="row count"):
         loads_csv("radices=2,3;depth=2\n0,1.0,0.0\n")
+    # an absent kind means a sampled function; only kind=spectrum is written
+    rows = "".join(f"{i},1.0,0.0\n" for i in range(6))
+    for kind in ("spectra", "sampled", ""):
+        with pytest.raises(ValueError, match=f"unknown kind '{kind}'"):
+            loads_csv(f"radices=2,3;depth=2;kind={kind}\n" + rows)
 
 
 @pytest.mark.parametrize(

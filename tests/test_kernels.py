@@ -159,7 +159,7 @@ def test_block_shift_majorant_conventions():
     assert without == 0.0
     # single-shift point x = e_0: the s = 0 term sees the full block kernel,
     # weighted (M_0 / M_1) * D_{M_1}(0) = (1/2) * 2
-    x = s.basis_element(0)
+    x = s.orders[0]
     value = block_shift_majorant(s, A, x, include_diagonal_shift=False)
     assert value == pytest.approx(1.0)
 
@@ -219,6 +219,13 @@ def test_est1_alternative_convention_flags_origin():
     s = make_structure((2, 3), 3)
     report = estimate_scan(s, "est1", include_diagonal_shift=False)
     assert report.zero_mismatches > 0
+
+
+@pytest.mark.parametrize("estimate", ["est2", "fejer", "lemma2"])
+def test_only_est1_takes_the_scan_without_diagonal_shift(estimate):
+    s = make_structure((2, 3), 2)
+    with pytest.raises(ValueError, match="applies to est1 only"):
+        estimate_scan(s, estimate, include_diagonal_shift=False)
 
 
 def test_dyadic_chained_majorant_constant_monitored():

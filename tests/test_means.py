@@ -120,7 +120,7 @@ def test_three_methods_agree_exhaustively(rng):
     f = random_sample(s, rng)
     for n in range(1, s.size + 1):
         for base in (0, 1):
-            assert evaluate_means(f, n, index_base=base).max_discrepancy < 1e-9
+            assert evaluate_means(f, n, index_base=base) < 1e-9
 
 
 def test_mean_is_linear_and_translation_covariant(rng):
