@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .group import GroupStructure
+from .group import GroupStructure, check_int
 from .operators import _lift, _v_grids, maximal_function_grid, v_sup_grid
 from .sampled import SampledFunction, check_exponent, lp_norm, require_arity
 
@@ -30,9 +30,25 @@ _ZERO_FLOOR = 64 * np.finfo(np.float64).eps
 _ATOM_TOL = 1e-10
 
 
+def _atom_parameters(structure: GroupStructure, p, N, center_x, center_y) -> tuple:
+    """The exponent as a float in (1/2, 1], the support depth as an int in
+    [0, L] and the centers as points of the group; rejects anything else."""
+    p = float(p)
+    if not 0.5 < p <= 1.0:
+        raise ValueError(f"atom exponent p must lie in (1/2, 1], got {p}")
+    N = check_int("support depth", N, 0, structure.depth)
+    centers = (check_int("point index", c, 0, structure.size - 1) for c in (center_x, center_y))
+    return (p, N, *centers)
+
+
 @dataclass(frozen=True, eq=False)
 class Atom:
-    """A p-atom supported on I_N(center_x) x I_N(center_y)."""
+    """A p-atom supported on I_N(center_x) x I_N(center_y).
+
+    Construction checks the parameters as ``make_atom`` does and that the
+    function is a 2-D sample; whether the function is an atom there is
+    ``verify_atom``'s question.
+    """
 
     p: float
     support_depth: int
@@ -40,6 +56,14 @@ class Atom:
     center_y: int
     function: SampledFunction
     seed: Optional[int] = None
+
+    def __post_init__(self):
+        require_arity(self.function, 2, "Atom")
+        checked = _atom_parameters(
+            self.structure, self.p, self.support_depth, self.center_x, self.center_y
+        )
+        for name, value in zip(("p", "support_depth", "center_x", "center_y"), checked):
+            object.__setattr__(self, name, value)
 
     @property
     def structure(self) -> GroupStructure:
@@ -67,11 +91,7 @@ def make_atom(
 ) -> Atom:
     """Draw a random real atom: uniform values on the support square,
     mean-subtracted, rescaled to sit just inside the sup-norm budget."""
-    p = float(p)
-    if not 0.5 < p <= 1.0:
-        raise ValueError(f"atom exponent p must lie in (1/2, 1], got {p}")
-    if not 0 <= N <= structure.depth:
-        raise ValueError(f"support depth {N} not in [0, {structure.depth}]")
+    p, N, center_x, center_y = _atom_parameters(structure, p, N, center_x, center_y)
     rows = structure.interval_indices(N, center_x)
     cols = structure.interval_indices(N, center_y)
     if rows.size * cols.size < 2:
@@ -91,8 +111,8 @@ def make_atom(
     return Atom(
         p=p,
         support_depth=N,
-        center_x=int(center_x),
-        center_y=int(center_y),
+        center_x=center_x,
+        center_y=center_y,
         function=SampledFunction(structure, values),
         seed=seed,
     )

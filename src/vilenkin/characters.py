@@ -15,16 +15,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .group import GroupStructure
+from .group import GroupStructure, check_int
 
 
 def rademacher(structure: GroupStructure, k: int, x: int) -> complex:
     """r_k(x) = exp(2 pi i x_k / m_k)."""
-    if not 0 <= k < structure.depth:
-        raise ValueError(f"coordinate {k} not in [0, {structure.depth})")
+    k = check_int("coordinate", k, 0, structure.depth - 1)
     structure.check_points(x)
-    digit = int(structure.digit_table[int(x), k])
-    return complex(structure.root_tables[k][digit])
+    return complex(structure.root_tables[k][structure.digit_table[x, k]])
 
 
 def vilenkin(structure: GroupStructure, n: int, x):
@@ -32,10 +30,9 @@ def vilenkin(structure: GroupStructure, n: int, x):
 
     ``x`` is a point index or an index array; a scalar call returns a scalar.
     """
-    if not 0 <= int(n) < structure.size:
-        raise ValueError(f"index-overflow: {n} not in [0, {structure.size})")
+    n = check_int("index-overflow: index", n, 0, structure.size - 1)
     structure.check_points(x)
-    dn = structure.digit_table[int(n)]
+    dn = structure.digit_table[n]
     dx = structure.digit_table[x]
     values = np.ones(np.shape(x), dtype=np.complex128)
     for k in range(structure.depth):
@@ -71,9 +68,7 @@ def dirichlet(structure: GroupStructure, k: int, x):
 
 def dirichlet_table(structure: GroupStructure, k: int) -> np.ndarray:
     """D_k sampled on the whole grid."""
-    k = int(k)
-    if not 0 <= k <= structure.size:
-        raise ValueError(f"kernel order {k} not in [0, {structure.size}]")
+    k = check_int("kernel order", k, 0, structure.size)
     # k = 0 sums no rows: the zero table
     return structure.table(("dirichlet", k), lambda: character_table(structure)[:k].sum(axis=0))
 
@@ -83,8 +78,7 @@ def block_dirichlet(structure: GroupStructure, n: int, z) -> np.ndarray:
 
     Exact by construction; `z` may be a scalar index or an index array.
     """
-    if not 0 <= n <= structure.depth:
-        raise ValueError(f"block level {n} not in [0, {structure.depth}]")
+    n = check_int("block level", n, 0, structure.depth)
     Mn = structure.orders[n]
     z = np.asarray(z)
     out = np.where(z % Mn == 0, float(Mn), 0.0)
@@ -99,12 +93,9 @@ def dirichlet_shift(structure: GroupStructure, j: int, r: int, A: int, x):
     Must agree with dirichlet(j + r * M_A, x) for 0 <= j < M_A and
     1 <= r <= m_A - 1.  ``x`` is a point index or an index array.
     """
-    if not 0 <= A < structure.depth:
-        raise ValueError(f"block level {A} not in [0, {structure.depth})")
-    if not 0 <= j < structure.orders[A]:
-        raise ValueError(f"offset {j} not in [0, M_{A})")
-    if not 1 <= r < structure.radices[A]:
-        raise ValueError(f"multiplier {r} not in [1, m_{A})")
+    A = check_int("block level", A, 0, structure.depth - 1)
+    j = check_int("offset", j, 0, structure.orders[A] - 1)
+    r = check_int("multiplier", r, 1, structure.radices[A] - 1)
     base = vilenkin(structure, structure.orders[A], x)
     prefix = sum(base**q for q in range(r))
     return prefix * block_dirichlet(structure, A, x) + base**r * dirichlet(structure, j, x)

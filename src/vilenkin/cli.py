@@ -112,7 +112,7 @@ def run_verify_kernels(args) -> dict:
 
     f = _random_function(structure, rng)
     orders = range(1, size + 1) if size <= 36 else rng.integers(1, size + 1, size=12)
-    err = max(evaluate_means(f, int(n)) for n in orders)
+    err = max(evaluate_means(f, n) for n in orders)
     suites.append({"name": "convolution-representation", "max_error": err})
 
     for suite in suites:

@@ -41,11 +41,29 @@ _TABLE_LOCK = threading.Lock()
 
 def _resolve_grid_cap(grid_cap: Optional[int]) -> int:
     if grid_cap is not None:
-        return int(grid_cap)
+        return check_int("grid_cap", grid_cap, 1)
     env = os.environ.get("VILENKIN_GRID_CAP")
     if env:
         return int(env)
     return DEFAULT_GRID_CAP
+
+
+def check_int(name: str, value, low: int, high: Optional[int] = None) -> int:
+    """``value`` as an int if it is an integer (a Python int, not a bool or
+    other subclass, or a numpy integer) in [low, high], with no upper bound
+    when ``high`` is None; otherwise a ValueError naming ``name``.
+
+    Every scalar order, level, depth, radix, digit, coordinate, index_base
+    and center is checked here, so no entry truncates or computes with a
+    non-integer.  Some scans call it per shift, so the common case takes
+    one type test and one comparison.
+    """
+    if type(value) is int or isinstance(value, np.integer):
+        if low <= value and (high is None or value <= high):
+            return int(value)
+        top = "inf)" if high is None else f"{high}]"
+        raise ValueError(f"{name} {value} not in [{low}, {top}")
+    raise ValueError(f"{name} {value!r} is not an integer")
 
 
 class _TableStore:
@@ -88,12 +106,9 @@ class GroupStructure:
     """
 
     def __init__(self, radices: Sequence[int], *, grid_cap: Optional[int] = None):
-        radices = tuple(int(m) for m in radices)
+        radices = tuple(check_int("invalid-radix: radix", m, 2) for m in radices)
         if not radices:
             raise ValueError("invalid-radix: need at least one radix")
-        for m in radices:
-            if m < 2:
-                raise ValueError(f"invalid-radix: radix {m} is < 2")
         orders = [1]
         for m in radices:
             orders.append(orders[-1] * m)
@@ -137,33 +152,25 @@ class GroupStructure:
 
     def digits(self, i: int) -> tuple[int, ...]:
         """Digit expansion of a linear index (digit 0 first)."""
-        i = int(i)
-        if not 0 <= i < self.size:
-            raise ValueError(f"index-overflow: {i} not in [0, {self.size})")
+        i = check_int("index-overflow: index", i, 0, self.size - 1)
         return tuple(int(d) for d in self.digit_table[i])
 
     def from_digits(self, digits: Sequence[int]) -> int:
         """Linear index of a digit sequence; validates each digit range."""
-        digits = tuple(int(d) for d in digits)
+        digits = tuple(digits)
         if len(digits) != self.depth:
             raise ValueError(
                 f"structure-mismatch: expected {self.depth} digits, got {len(digits)}"
             )
         value = 0
         for k in range(self.depth - 1, -1, -1):
-            d = digits[k]
-            if not 0 <= d < self.radices[k]:
-                raise ValueError(
-                    f"invalid digit {d} at position {k} (radix {self.radices[k]})"
-                )
+            d = check_int(f"digits[{k}]", digits[k], 0, self.radices[k] - 1)
             value = value * self.radices[k] + d
         return value
 
     def index_order(self, n: int) -> int:
         """|n|, the k with M_k <= n < M_{k+1}, for 1 <= n <= M_L (M_L maps to L)."""
-        n = int(n)
-        if not 1 <= n <= self.size:
-            raise ValueError(f"order {n} not in [1, {self.size}]")
+        n = check_int("order", n, 1, self.size)
         return bisect_right(self.orders, n) - 1
 
     def check_points(self, *indices) -> None:
@@ -210,11 +217,8 @@ class GroupStructure:
     def interval_indices(self, n: int, center: int = 0) -> np.ndarray:
         """Linear indices of I_n(center), an arithmetic progression mod M_n;
         the center must be a point, an integer in [0, M_L)."""
-        if not 0 <= n <= self.depth:
-            raise ValueError(f"interval depth {n} not in [0, {self.depth}]")
-        center = int(center)
-        if not 0 <= center < self.size:
-            raise ValueError(f"point index {center} not in [0, {self.size})")
+        n = check_int("interval depth", n, 0, self.depth)
+        center = check_int("point index", center, 0, self.size - 1)
         base = center % self.orders[n]
         return base + self.orders[n] * np.arange(self.size // self.orders[n])
 
@@ -230,8 +234,7 @@ class GroupStructure:
         structure's store under keys of its own, so the two share one budget
         and one ``table_stats``.  ``depth = L`` gives this structure itself.
         """
-        if not 1 <= depth <= self.depth:
-            raise ValueError(f"quotient depth {depth} not in [1, {self.depth}]")
+        depth = check_int("quotient depth", depth, 1, self.depth)
         if depth == self.depth:
             return self
         quotient = self._quotients.get(depth)
@@ -296,12 +299,9 @@ def make_structure(
     ``make_structure((2, 3), 4)`` yields radices (2, 3, 2, 3).  With
     depth=None the list is used as given.
     """
-    radices = tuple(int(m) for m in radices)
-    if not radices:
-        raise ValueError("invalid-radix: need at least one radix")
-    if depth is not None:
-        depth = int(depth)
-        if depth < 1:
-            raise ValueError(f"depth must be >= 1, got {depth}")
+    radices = tuple(radices)
+    # an empty list is left to GroupStructure to reject
+    if depth is not None and radices:
+        depth = check_int("depth", depth, 1)
         radices = tuple(radices[k % len(radices)] for k in range(depth))
     return GroupStructure(radices, grid_cap=grid_cap)

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .characters import block_dirichlet, character_table
-from .group import GroupStructure
+from .group import GroupStructure, check_int
 
 ESTIMATE_IDS = ("est1", "est2", "fejer", "lemma2")
 
@@ -139,28 +139,24 @@ def _fejer_sum_blocks(structure: GroupStructure):
             yield np.arange(start, stop), block[1:]
 
 
-def check_index_base(index_base: int) -> None:
-    """Reject a summation convention other than k in [0, n) or [1, n]."""
-    if index_base not in (0, 1):
-        raise ValueError("index_base must be 0 or 1")
+def check_index_base(index_base: int) -> int:
+    """The summation convention, k in [0, n) (0) or [1, n] (1); anything
+    else is rejected."""
+    return check_int("index_base", index_base, 0, 1)
 
 
 def fejer_kernel_1d(structure: GroupStructure, n: int, index_base: int = 0) -> np.ndarray:
     """K_n(x) = (1/n) sum D_k(x), k running over [base, n + base)."""
-    n = int(n)
-    if not 1 <= n <= structure.size:
-        raise ValueError(f"kernel order {n} not in [1, {structure.size}]")
-    check_index_base(index_base)
+    n = check_int("kernel order", n, 1, structure.size)
+    index_base = check_index_base(index_base)
     stack = _dirichlet_stack(structure, n + index_base)
     return stack[index_base:].sum(axis=0) / n
 
 
 def marcinkiewicz_kernel(structure: GroupStructure, n: int, index_base: int = 0) -> np.ndarray:
     """K_n(x, y) = (1/n) sum D_k(x) D_k(y), k running over [base, n + base)."""
-    n = int(n)
-    if not 1 <= n <= structure.size:
-        raise ValueError(f"kernel order {n} not in [1, {structure.size}]")
-    check_index_base(index_base)
+    n = check_int("kernel order", n, 1, structure.size)
+    index_base = check_index_base(index_base)
     stack = _dirichlet_stack(structure, n + index_base)[index_base:]
     return np.einsum("kx,ky->xy", stack, stack) / n
 
@@ -169,8 +165,10 @@ def marcinkiewicz_kernel(structure: GroupStructure, n: int, index_base: int = 0)
 
 
 def _check_factor_range(structure: GroupStructure, i: int, n: int) -> None:
-    if i <= n and not (0 <= i and n < structure.depth):
-        raise ValueError(f"factor range [{i}, {n}] not inside [0, {structure.depth})")
+    # i > n is the empty product, named by at most [L, L - 1] and at least
+    # [0, -1]; these bounds keep every range that is not empty inside [0, L)
+    check_int("factor start i", i, 0, structure.depth)
+    check_int("factor end n", n, -1, structure.depth - 1)
 
 
 def r_factor(structure: GroupStructure, i: int, n: int, x, y):
@@ -237,8 +235,7 @@ def kernel_decomposition_rhs(structure: GroupStructure, A: int, x, y):
     M_k K_{M_k} on the other; all weighted by r_{k+1,A-1}(x, y).  ``x`` and
     ``y`` are point indices or index arrays that broadcast.
     """
-    if not 1 <= A <= structure.depth:
-        raise ValueError(f"block level {A} not in [1, {structure.depth}]")
+    A = check_int("block level", A, 1, structure.depth)
     structure.check_points(x, y)
     w = structure.add(x, y)
     total = 0.0
@@ -318,8 +315,7 @@ def block_shift_majorant(
     I_A, covering x = 0) and S = A - 1 otherwise.  The two conventions are
     reported side by side by the scans.
     """
-    if not 0 <= A <= structure.depth:
-        raise ValueError(f"block level {A} not in [0, {structure.depth}]")
+    A = check_int("block level", A, 0, structure.depth)
     structure.check_points(x)
     s_top = A if include_diagonal_shift else A - 1
     s_top = min(s_top, structure.depth - 1)
@@ -506,7 +502,7 @@ def estimate_scan(
         majorant = scale_sum_majorant if estimate == "est2" else double_shift_majorant
         for orders, sums in _fejer_sum_blocks(structure):
             if orders[0] in level_starts:
-                rows = _ratio_rows(majorant(structure, int(orders[0]), xs), tol)
+                rows = _ratio_rows(majorant(structure, orders[0], xs), tol)
             n = orders[:, None]
             report.per_order += rows(orders, n * np.abs(sums / n))
     elif estimate == "lemma2":

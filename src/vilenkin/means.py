@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .group import GroupStructure
+from .group import GroupStructure, check_int
 from .kernels import check_index_base, marcinkiewicz_kernel
 from .sampled import SampledFunction, Spectrum, require_arity
 from .transform import convolve, forward, inverse
@@ -31,8 +31,8 @@ def partial_sum_2d(f: SampledFunction, M: int, N: int) -> SampledFunction:
     """Rectangular partial sum S_{M,N} f = sum_{i<M, j<N} fhat(i,j) psi_i psi_j."""
     require_arity(f, 2, "partial_sum_2d")
     size = f.structure.size
-    if not (0 <= M <= size and 0 <= N <= size):
-        raise ValueError(f"partial sum orders ({M}, {N}) not in [0, {size}]")
+    M = check_int("partial sum order M", M, 0, size)
+    N = check_int("partial sum order N", N, 0, size)
     return _masked_partial_sum(forward(f), M, N)
 
 
@@ -50,9 +50,8 @@ def sigma_multiplier(structure: GroupStructure, n: int, index_base: int = 0) -> 
     lambda_n(a, b) counts the diagonal partial sums containing (a, b):
     #{j in [base, n-1+base] : j > max(a, b)} / n.
     """
-    if not 1 <= n <= structure.size:
-        raise ValueError(f"mean order {n} not in [1, {structure.size}]")
-    check_index_base(index_base)
+    n = check_int("mean order", n, 1, structure.size)
+    index_base = check_index_base(index_base)
     idx = np.arange(structure.size)
     top = np.maximum.outer(idx, idx)
     counts = np.clip(n - 1 + index_base - top, 0, n)
@@ -64,10 +63,8 @@ def marcinkiewicz_means(
 ) -> SampledFunction:
     """Order-n Marcinkiewicz-Fejer mean of a 2-D sample by the chosen route."""
     require_arity(f, 2, "marcinkiewicz_means")
-    size = f.structure.size
-    if not 1 <= n <= size:
-        raise ValueError(f"mean order {n} not in [1, {size}]")
-    check_index_base(index_base)
+    n = check_int("mean order", n, 1, f.structure.size)
+    index_base = check_index_base(index_base)
     if method == "multiplier":
         coeffs = forward(f).coefficients * sigma_multiplier(f.structure, n, index_base)
         return inverse(Spectrum(f.structure, coeffs))
@@ -95,9 +92,8 @@ def fejer_means_1d(f: SampledFunction, n: int, index_base: int = 0) -> SampledFu
     """1-D Fejer mean (1/n) sum_k S_k f; agrees with kernel convolution."""
     require_arity(f, 1, "fejer_means_1d")
     size = f.structure.size
-    if not 1 <= n <= size:
-        raise ValueError(f"mean order {n} not in [1, {size}]")
-    check_index_base(index_base)
+    n = check_int("mean order", n, 1, size)
+    index_base = check_index_base(index_base)
     idx = np.arange(size)
     counts = np.clip(n - 1 + index_base - idx, 0, n)
     coeffs = forward(f).coefficients * (counts / n)

@@ -77,7 +77,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .group import GroupStructure
+from .group import GroupStructure, check_int
 from .kernels import check_index_base, r_factor, r_factor_table
 from .means import marcinkiewicz_means, sigma_multiplier
 from .sampled import SampledFunction, Spectrum, require_arity
@@ -85,11 +85,6 @@ from .transform import convolve, forward, inverse
 
 
 # -- shared index helpers -------------------------------------------------------
-
-
-def _check_order(structure: GroupStructure, n: int) -> None:
-    if not 0 <= n <= structure.depth:
-        raise ValueError(f"order {n} not in [0, {structure.depth}]")
 
 
 def _shift_level(level: int, pos: int) -> int:
@@ -225,7 +220,7 @@ def w_operator_2d(f: SampledFunction, x: int, y: int, j: int) -> float:
     """The 2-D localized-oscillation operator W_j(x, y; f)."""
     require_arity(f, 2, "w_operator_2d")
     structure = f.structure
-    _check_order(structure, j)
+    j = check_int("order", j, 0, structure.depth)
     structure.check_points(x, y)
     return float(_w_values(f, x, y, [j])[0])
 
@@ -264,6 +259,7 @@ def means_error(
 
 def _component_terms(structure: GroupStructure, n: int, comp: int):
     """Yield (weight, t_level, t_base, u_level, u_base, indicator_lo_hi)."""
+    comp = check_int("component", comp, 1, 4)
     if comp in (1, 2):
         for q in range(n):
             Mq = structure.orders[q]
@@ -278,20 +274,17 @@ def _component_terms(structure: GroupStructure, n: int, comp: int):
                     else:
                         yield weight, k, 0, level, base, (k + 1, n - 1)
         return
-    if comp in (3, 4):
-        for s in range(min(n, structure.depth - 1) + 1):
-            Ms = structure.orders[s]
-            for i in range(s, n + 1):
-                weight = Ms * structure.orders[i]
-                level = _shift_level(i, s)
-                for shift in range(1, structure.radices[s]):
-                    base = shift * Ms
-                    if comp == 3:
-                        yield weight, level, base, n, 0, None
-                    else:
-                        yield weight, n, 0, level, base, None
-        return
-    raise ValueError(f"component must be 1..4, got {comp}")
+    for s in range(min(n, structure.depth - 1) + 1):
+        Ms = structure.orders[s]
+        for i in range(s, n + 1):
+            weight = Ms * structure.orders[i]
+            level = _shift_level(i, s)
+            for shift in range(1, structure.radices[s]):
+                base = shift * Ms
+                if comp == 3:
+                    yield weight, level, base, n, 0, None
+                else:
+                    yield weight, n, 0, level, base, None
 
 
 # -- grid-wide component evaluation via kernel tables ------------------------------
@@ -307,7 +300,7 @@ def v_kernel_table(structure: GroupStructure, n: int, comp: int) -> np.ndarray:
     full kernel's leading square.  Stored on the structure; cross-checked
     against the verbatim per-point route in tests.
     """
-    _check_order(structure, n)
+    n = check_int("order", n, 0, structure.depth)
 
     def build() -> np.ndarray:
         size = structure.size
@@ -383,7 +376,7 @@ def v_component_grid(f: SampledFunction, n: int, comp: int) -> np.ndarray:
     its kernel lives and tiled back: K = n for components 1-2 and min(n + 1, L)
     for 3-4, at least 1 (at n = 0 components 1-2 have no terms)."""
     require_arity(f, 2, "v_component_grid")
-    _check_order(f.structure, n)
+    n = check_int("order", n, 0, f.structure.depth)
     (grid,) = _v_grids(f, [(n, (comp,))])
     return _lift(grid, f.structure.size)
 
@@ -477,7 +470,7 @@ def lebesgue_reports(
     coarse.
     """
     require_arity(f, 2, "lebesgue_reports")
-    check_index_base(index_base)
+    index_base = check_index_base(index_base)
     structure = f.structure
     pairs = np.asarray(points)
     if pairs.size == 0:

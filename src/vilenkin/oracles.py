@@ -24,8 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .characters import character_table
+from .group import check_int
 from .kernels import r_factor_table
-from .operators import _check_order, _component_terms, _outer_add
+from .operators import _component_terms, _outer_add
 from .sampled import SampledFunction, Spectrum, require_arity, require_same_structure
 
 
@@ -91,7 +92,7 @@ def v_component(f: SampledFunction, x: int, y: int, n: int, comp: int) -> comple
     """
     require_arity(f, 2, "v_component")
     structure = f.structure
-    _check_order(structure, n)
+    n = check_int("order", n, 0, structure.depth)
     structure.check_points(x, y)
     size = structure.size
     total = 0.0 + 0j

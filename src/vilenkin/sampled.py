@@ -15,7 +15,7 @@ from typing import IO, Union
 
 import numpy as np
 
-from .group import GroupStructure
+from .group import GroupStructure, check_int
 
 
 def _validate_values(structure: GroupStructure, values: np.ndarray) -> np.ndarray:
@@ -151,8 +151,8 @@ def read_csv(stream: IO[str]) -> Union[SampledFunction, Spectrum]:
     if any("=" not in part for part in parts):
         raise ValueError(f"malformed header: {header!r}")
     fields = dict(part.split("=", 1) for part in parts)
-    if "radices" not in fields or "depth" not in fields:
-        raise ValueError(f"malformed header: {header!r}")
+    if not {"radices", "depth"} <= set(fields) <= {"radices", "depth", "kind"}:
+        raise ValueError(f"malformed header: {header!r} (keys: radices, depth, kind)")
     radices = tuple(int(m) for m in fields["radices"].split(","))
     depth = int(fields["depth"])
     if len(radices) != depth:
@@ -175,9 +175,8 @@ def read_csv(stream: IO[str]) -> Union[SampledFunction, Spectrum]:
     for number, row in enumerate(rows, start=1):
         if len(row) != values.ndim + 2:
             raise ValueError(f"row {number}: expected {values.ndim + 2} fields, got {row}")
-        index = tuple(int(i) for i in row[: values.ndim])
-        if not all(0 <= i < n for i in index):
-            raise ValueError(f"row {number}: index {index} not in [0, {n})")
+        name = f"row {number}: index"
+        index = tuple(check_int(name, int(i), 0, n - 1) for i in row[: values.ndim])
         if seen[index]:
             raise ValueError(f"row {number}: repeated index {index}")
         seen[index] = True

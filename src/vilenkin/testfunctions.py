@@ -2,7 +2,8 @@
 
 Each entry builds a full-grid sample from a parameter dict.  The catalog is
 what the CLI lists and parses; parameters arrive as ``name:key=value,...``
-strings.
+strings, so each entry parses its integer parameters with ``int()`` before
+the checked functions see them.
 """
 
 from __future__ import annotations
@@ -12,22 +13,20 @@ from typing import Callable
 import numpy as np
 
 from .characters import vilenkin_column
-from .group import GroupStructure
+from .group import GroupStructure, check_int
 from .sampled import SampledFunction
 
 
 def _character(structure: GroupStructure, a: int = 1, b: int = 1) -> SampledFunction:
     return SampledFunction(
-        structure, np.outer(vilenkin_column(structure, a), vilenkin_column(structure, b))
+        structure, np.outer(vilenkin_column(structure, int(a)), vilenkin_column(structure, int(b)))
     )
 
 
 def _indicator(structure: GroupStructure, N: int = 1, center: int = 0) -> SampledFunction:
-    N = int(N)
-    if not 0 <= N <= structure.depth:
-        raise ValueError(f"indicator depth N={N} not in [0, {structure.depth}]")
+    N = check_int("indicator depth N", int(N), 0, structure.depth)
     mask = np.zeros(structure.size, dtype=bool)
-    mask[structure.interval_indices(N, center)] = True
+    mask[structure.interval_indices(N, int(center))] = True
     return SampledFunction(structure, np.outer(mask, mask).astype(np.complex128))
 
 
@@ -51,16 +50,11 @@ def _jump(structure: GroupStructure, theta: float = 1.0 / 3.0) -> SampledFunctio
 
 def _polynomial(structure: GroupStructure, coeffs="1:1:1:0") -> SampledFunction:
     """Finite coefficient combination; ``coeffs`` is "a:b:re:im;a:b:re:im;..."."""
-    if isinstance(coeffs, str):
-        triples = []
-        for chunk in coeffs.split(";"):
-            a, b, re, im = chunk.split(":")
-            triples.append((int(a), int(b), float(re) + 1j * float(im)))
-    else:
-        triples = [(int(a), int(b), complex(c)) for a, b, c in coeffs]
     values = np.zeros((structure.size, structure.size), dtype=np.complex128)
-    for a, b, c in triples:
-        values += c * np.outer(vilenkin_column(structure, a), vilenkin_column(structure, b))
+    for chunk in coeffs.split(";"):
+        a, b, re, im = chunk.split(":")
+        outer = np.outer(vilenkin_column(structure, int(a)), vilenkin_column(structure, int(b)))
+        values += (float(re) + 1j * float(im)) * outer
     return SampledFunction(structure, values)
 
 

@@ -226,6 +226,37 @@ def test_a_complex_sample_takes_a_call_per_part_of_a_pair(monkeypatch, rng):
     assert calls == [s.orders[3], s.size]
 
 
+def test_an_atom_built_directly_checks_its_parameters():
+    from vilenkin import Atom
+
+    s = make_structure((2, 3))
+    atom = make_atom(s, 0.8, 1, seed=0)
+    fields = dict(
+        p=atom.p,
+        support_depth=atom.support_depth,
+        center_x=atom.center_x,
+        center_y=atom.center_y,
+        function=atom.function,
+    )
+    # the centers are points of the group, not integers reduced mod M_N
+    for bad, message in (
+        (dict(center_x=-2), "point index -2 not in"),
+        (dict(center_y=6), "point index 6 not in"),
+        (dict(center_x=1.0), "point index 1.0 is not an integer"),
+        (dict(support_depth=s.depth + 1), "support depth 3 not in"),
+        (dict(support_depth=True), "support depth True is not an integer"),
+        (dict(p=0.5), "atom exponent p"),
+        (dict(p=1.2), "atom exponent p"),
+        (dict(function=SampledFunction(s, np.zeros(s.size))), "Atom needs a 2-D sample"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            Atom(**{**fields, **bad})
+    # numpy integers are integers, and are kept as Python ones
+    kept = Atom(**{**fields, "support_depth": np.int64(1), "center_x": np.int64(5)})
+    assert (kept.support_depth, kept.center_x) == (1, 5)
+    assert type(kept.support_depth) is int and type(kept.center_x) is int
+
+
 def test_quasilocality_rejects_invalid_atom():
     s = make_structure((2, 3))
     atom = make_atom(s, 1.0, 1, seed=0)

@@ -88,6 +88,27 @@ def test_convergence_writes_artifact(tmp_path, capsys):
     assert set(row) == {"x_digits", "y_digits", "W", "sigma_err", "verdict"}
 
 
+@pytest.mark.parametrize(
+    "fn",
+    [
+        "character:a=3,b=1",
+        "indicator:N=2,center=5",
+        "polynomial:coeffs=1:1:1:0;3:2:0.5:0",
+        "jump:theta=0.3",
+        "random:seed=2",
+    ],
+)
+def test_convergence_parses_each_test_function_from_its_string_parameters(capsys, fn):
+    # --fn parameters arrive as strings; each catalog entry parses its own
+    code, out, err = run_cli(
+        capsys, "convergence", "--radices", "2,3", "--depth", "3", "--fn", fn, "--points", "4"
+    )
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["function"]["name"] == fn.partition(":")[0]
+    assert len(payload["points"]) == 4
+
+
 def test_atoms_experiment(capsys):
     code, out, _ = run_cli(
         capsys, "atoms", "--radices", "2,3", "--depth", "3", "--points", "2", "--seed", "5"
@@ -142,7 +163,7 @@ def test_unknown_function_rejected(capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (("convergence", "--radices", "2,3", "--fn", "indicator:N=9"), "indicator depth N=9"),
+        (("convergence", "--radices", "2,3", "--fn", "indicator:N=9"), "indicator depth N 9 not in [0, 2]"),
         (("convergence", "--radices", "2,3", "--fn", "indicator:bogus=1"), "unknown parameter(s) bogus"),
         (("verify-operators", "--radices", "2,3", "--points", "-3"), "--points must be >= 1"),
         (("convergence", "--radices", "2,3", "--points", "0"), "--points must be >= 1"),

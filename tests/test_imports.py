@@ -1,7 +1,8 @@
 """Every module of the package uses each name it imports, imports only at the
 top, and every private function or class it defines is read somewhere in the
 package.  The reference routes live in ``oracles`` apart from the routes they
-check, and every public name is read by the package or kept on purpose."""
+check, every public name is read by the package or kept on purpose, and every
+integer range is checked in ``group``."""
 
 import ast
 from pathlib import Path
@@ -147,3 +148,33 @@ def test_every_public_name_is_read_by_the_package_or_kept_on_purpose():
     assert sorted(exported - read - oracles - LIBRARY_ONLY) == []
     # and the kept set names no name that has gone or has gained a reader
     assert sorted(LIBRARY_ONLY - (exported - read)) == []
+
+
+def range_raises(source: str) -> list[int]:
+    """Lines that raise a ValueError whose message says ``not in [``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if (
+            isinstance(node, ast.Raise)
+            and isinstance(node.exc, ast.Call)
+            and isinstance(node.exc.func, ast.Name)
+            and node.exc.func.id == "ValueError"
+        ):
+            text = "".join(
+                part.value
+                for arg in node.exc.args
+                for part in ast.walk(arg)
+                if isinstance(part, ast.Constant) and isinstance(part.value, str)
+            )
+            if "not in [" in text:
+                lines.append(node.lineno)
+    return lines
+
+
+def test_only_the_group_module_raises_a_range_error():
+    # scalar orders, levels, depths, digits and centers go through
+    # group.check_int, and arrays of points through check_points
+    texts = sources()
+    assert range_raises(texts.pop("group.py"))
+    found = {name: lines for name, source in texts.items() if (lines := range_raises(source))}
+    assert found == {}

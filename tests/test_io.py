@@ -71,13 +71,17 @@ def test_csv_malformed_inputs():
     for kind in ("spectra", "sampled", ""):
         with pytest.raises(ValueError, match=f"unknown kind '{kind}'"):
             loads_csv(f"radices=2,3;depth=2;kind={kind}\n" + rows)
+    # a key the reader does not read, a misspelt kind among them, is an error
+    for extra in ("kidn=spectrum", "seed=3", "radix=2"):
+        with pytest.raises(ValueError, match="malformed header"):
+            loads_csv(f"radices=2,3;depth=2;{extra}\n" + rows)
 
 
 @pytest.mark.parametrize(
     "rows, message",
     [
-        (["-1,1.0,0.0"] + [f"{i},1.0,0.0" for i in range(1, 6)], r"row 1: index \(-1,\) not in"),
-        ([f"{i},1.0,0.0" for i in range(5)] + ["6,1.0,0.0"], r"row 6: index \(6,\) not in"),
+        (["-1,1.0,0.0"] + [f"{i},1.0,0.0" for i in range(1, 6)], r"row 1: index -1 not in \[0, 5\]"),
+        ([f"{i},1.0,0.0" for i in range(5)] + ["6,1.0,0.0"], r"row 6: index 6 not in \[0, 5\]"),
         ([f"{i},1.0,0.0" for i in range(5)] + ["4,2.0,0.0"], r"row 6: repeated index \(4,\)"),
         (
             [f"{x},{y},1.0,0.0" for x in range(6) for y in range(6)][:-1] + ["0,0,2.0,0.0"],

@@ -247,7 +247,7 @@ def test_method_and_order_validation(rng):
         lambda: fejer_means_1d(f1, 2, index_base=2),
         lambda: sigma_multiplier(s, 2, index_base=2),
     ):
-        with pytest.raises(ValueError, match="index_base must be 0 or 1"):
+        with pytest.raises(ValueError, match=r"index_base 2 not in \[0, 1\]"):
             call()
 
 
