@@ -68,16 +68,7 @@ from .oracles import (
     v_component,
     v_maximal,
 )
-from .sampled import (
-    SampledFunction,
-    Spectrum,
-    dumps_csv,
-    haar_integrate,
-    loads_csv,
-    lp_norm,
-    read_csv,
-    write_csv,
-)
+from .sampled import SampledFunction, Spectrum, haar_integrate, lp_norm
 from .testfunctions import build_test_function, list_test_functions, parse_fn_spec
 from .transform import convolve, forward, inverse
 

@@ -58,7 +58,7 @@ def _random_function(structure: GroupStructure, rng, arity: int = 2) -> SampledF
 
 
 def _structure(args) -> GroupStructure:
-    return make_structure(tuple(int(tok) for tok in args.radices.split(",")), args.depth)
+    return make_structure(args.radices, args.depth)
 
 
 # -- experiments -----------------------------------------------------------------
@@ -351,8 +351,17 @@ EXPERIMENTS = {
     "list-functions": (run_list_functions, ()),
 }
 
+
+def _radix_list(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(tok) for tok in text.split(","))
+    except ValueError:
+        message = f"expected comma-separated integers, got {text!r}"
+        raise argparse.ArgumentTypeError(message) from None
+
+
 _FLAGS = {
-    "radices": {"required": True, "help": "comma-separated radix list"},
+    "radices": {"type": _radix_list, "required": True, "help": "comma-separated radix list"},
     "depth": {"type": int, "help": "truncation depth (cycles the radix list)"},
     "tol": {"type": float, "default": 1e-9, "help": "identity tolerance"},
     "seed": {"type": int, "default": 0},
@@ -438,10 +447,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = build_parser().parse_args(argv)
         if args.out and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
             raise ValueError(f"--out directory of {args.out!r} does not exist")
-        # --points and --tol are checked where the experiment takes them
+        # --points, --seed and --tol are checked where the experiment takes them
         options = vars(args)
         if options.get("points") is not None and args.points < 1:
             raise ValueError(f"--points must be >= 1, got {args.points}")
+        if options.get("seed", 0) < 0:
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
         # every check would pass at a NaN or infinite tolerance
         if "tol" in options and not (math.isfinite(args.tol) and args.tol >= 0):
             raise ValueError(f"--tol must be finite and >= 0, got {args.tol}")

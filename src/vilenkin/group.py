@@ -43,9 +43,13 @@ def _resolve_grid_cap(grid_cap: Optional[int]) -> int:
     if grid_cap is not None:
         return check_int("grid_cap", grid_cap, 1)
     env = os.environ.get("VILENKIN_GRID_CAP")
-    if env:
-        return int(env)
-    return DEFAULT_GRID_CAP
+    if not env:
+        return DEFAULT_GRID_CAP
+    try:
+        cap = int(env)
+    except ValueError:
+        raise ValueError(f"VILENKIN_GRID_CAP {env!r} is not an integer") from None
+    return check_int("VILENKIN_GRID_CAP", cap, 1)
 
 
 def check_int(name: str, value, low: int, high: Optional[int] = None) -> int:

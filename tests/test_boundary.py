@@ -157,5 +157,33 @@ def test_test_function_parameters_are_parsed_from_strings_and_then_checked():
         build_test_function(S, "character", a="6")
     with pytest.raises(ValueError, match="^point index 6 not in"):
         build_test_function(S, "indicator", center="6")
-    with pytest.raises(ValueError, match="invalid literal"):
+    # a string the declared parser refuses is named with its function and key
+    with pytest.raises(ValueError, match=re.escape("indicator parameter N=1.5: invalid literal")):
         build_test_function(S, "indicator", N="1.5")
+    with pytest.raises(ValueError, match=re.escape("polynomial parameter coeffs=1:1: term '1:1'")):
+        build_test_function(S, "polynomial", coeffs="1:1")
+    assert build_test_function(S, "polynomial", coeffs="3:1:2:0") == build_test_function(
+        S, "polynomial", coeffs=[(3, 1, 2)]
+    )
+
+
+@pytest.mark.parametrize(
+    "name, params, message",
+    [
+        ("indicator", {"N": 1.5}, "indicator depth N 1.5 is not an integer"),
+        ("indicator", {"center": True}, "point index True is not an integer"),
+        ("character", {"a": 2.7}, "index-overflow: index 2.7 is not an integer"),
+        ("character", {"b": 1.0}, "index-overflow: index 1.0 is not an integer"),
+        ("random", {"seed": 3.9}, "random seed 3.9 is not an integer"),
+        ("random", {"seed": -1}, "random seed -1 not in [0, inf)"),
+        ("jump", {"theta": float("nan")}, "jump theta=nan is outside [0, 1)"),
+        ("jump", {"theta": 1.0}, "jump theta=1.0 is outside [0, 1)"),
+        ("jump", {"theta": -0.5}, "jump theta=-0.5 is outside [0, 1)"),
+        ("polynomial", {"coeffs": [(1, 0.5, 1.0)]}, "index-overflow: index 0.5 is not an integer"),
+    ],
+)
+def test_a_test_function_value_that_is_not_a_string_is_checked_not_converted(name, params, message):
+    # a library caller's value reaches the builder unchanged, and a
+    # fractional or boolean one is refused, not truncated
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        build_test_function(S, name, **params)

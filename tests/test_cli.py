@@ -99,7 +99,7 @@ def test_convergence_writes_artifact(tmp_path, capsys):
     ],
 )
 def test_convergence_parses_each_test_function_from_its_string_parameters(capsys, fn):
-    # --fn parameters arrive as strings; each catalog entry parses its own
+    # --fn parameters arrive as strings, parsed by the catalog's declared parsers
     code, out, err = run_cli(
         capsys, "convergence", "--radices", "2,3", "--depth", "3", "--fn", fn, "--points", "4"
     )
@@ -177,6 +177,18 @@ def test_unknown_function_rejected(capsys):
         ((), "the following arguments are required: experiment"),
         (("convergence", "--radices", "2,3", "--fn", "indicator:N=1,center=-1"), "point index -1 not in"),
         (("convergence", "--radices", "2,3", "--fn", "indicator:center=6"), "point index 6 not in"),
+        (("convergence", "--radices", "2,3", "--fn", "indicator:N=1.5"), "indicator parameter N=1.5: invalid literal"),
+        (("convergence", "--radices", "2,3", "--fn", "character:a=x"), "character parameter a=x: invalid literal"),
+        (("convergence", "--radices", "2,3", "--fn", "jump:theta=abc"), "jump parameter theta=abc: could not convert"),
+        (("convergence", "--radices", "2,3", "--fn", "jump:theta=nan"), "jump theta=nan is outside [0, 1)"),
+        (("convergence", "--radices", "2,3", "--fn", "jump:theta=1.5"), "jump theta=1.5 is outside [0, 1)"),
+        (("convergence", "--radices", "2,3", "--fn", "polynomial:coeffs=1:1"), "polynomial parameter coeffs=1:1: term '1:1' is not a:b:re:im"),
+        (("convergence", "--radices", "2,3", "--fn", "random:seed=-1"), "random seed -1 not in [0, inf)"),
+        (("estimates", "--radices", "2,x"), "argument --radices: expected comma-separated integers, got '2,x'"),
+        (("estimates", "--radices", "2.5"), "argument --radices: expected comma-separated integers, got '2.5'"),
+        (("estimates", "--radices", ","), "argument --radices: expected comma-separated integers, got ','"),
+        (("convergence", "--radices", "2,3", "--seed", "-1"), "--seed must be >= 0, got -1"),
+        (("atoms", "--radices", "2,3", "--depth", "3", "--seed=-2"), "--seed must be >= 0, got -2"),
     ],
 )
 def test_bad_config_exits_2_with_one_line_error(capsys, argv, message):

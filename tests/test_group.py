@@ -1,4 +1,5 @@
 import itertools
+import re
 import sys
 import threading
 
@@ -50,6 +51,22 @@ def test_grid_cap_env_override(monkeypatch):
         make_structure((2, 3, 2))
     monkeypatch.setenv("VILENKIN_GRID_CAP", "1000000")
     make_structure((2, 3, 2))
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        ("abc", "VILENKIN_GRID_CAP 'abc' is not an integer"),
+        ("1e8", "VILENKIN_GRID_CAP '1e8' is not an integer"),
+        ("-3", "VILENKIN_GRID_CAP -3 not in [1, inf)"),
+        ("0", "VILENKIN_GRID_CAP 0 not in [1, inf)"),
+    ],
+)
+def test_grid_cap_env_must_be_an_integer_of_at_least_one(monkeypatch, value, message):
+    # the rule the grid_cap argument follows; a negative cap once refused every structure
+    monkeypatch.setenv("VILENKIN_GRID_CAP", value)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make_structure((2, 3))
 
 
 def test_index_digits_examples():

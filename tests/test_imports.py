@@ -1,25 +1,32 @@
 """Every module of the package uses each name it imports, imports only at the
 top, and every private function or class it defines is read somewhere in the
 package.  The reference routes live in ``oracles`` apart from the routes they
-check, every public name is read by the package or kept on purpose, and every
-integer range is checked in ``group``."""
+check, every public name is read by the package or kept on purpose, every
+integer range is checked in ``group``, the test-function catalog converts
+its string parameters in one place, and only the CLI reads or writes CSV."""
 
 import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "vilenkin"
 
-# public names that no package module reads, kept as library entry points; a
-# new public name that nothing reads fails the test until it is added here
+# public names that no package module reads, kept as library entry points, each
+# for the reason given; a new public name that nothing reads fails the test
+# until it is added here with its reason
 LIBRARY_ONLY = {
-    "dumps_csv",
+    # the 1-D Fejer means, the one-dimensional case of the Marcinkiewicz means
     "fejer_means_1d",
+    # the normalized Haar integral every mean and L^p norm is taken against
     "haar_integrate",
+    # the H_p quasinorm that the p-atoms are normalized in
     "hardy_quasinorm",
-    "loads_csv",
+    # |sigma_n f - f| at one point and order next to its majorant, for any n
     "means_error",
+    # the rectangular partial sums S_{M,N} whose averages the means are
     "partial_sum_2d",
+    # the generators r_k whose products are the Vilenkin characters
     "rademacher",
+    # the one-factor coupling product r_{n,n}(x, 0) of the W kernel
     "rademacher_power_sum",
 }
 
@@ -178,3 +185,47 @@ def test_only_the_group_module_raises_a_range_error():
     assert range_raises(texts.pop("group.py"))
     found = {name: lines for name, source in texts.items() if (lines := range_raises(source))}
     assert found == {}
+
+
+def catalog_builders(source: str) -> set[str]:
+    """Names given as ``"build"`` in the test-function catalog."""
+    return {
+        value.id
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Dict)
+        for key, value in zip(node.keys, node.values)
+        if isinstance(key, ast.Constant) and key.value == "build" and isinstance(value, ast.Name)
+    }
+
+
+def test_no_catalog_builder_converts_its_own_parameters():
+    # a string is parsed once, by build_test_function with the declared parser,
+    # and a builder leaves its range checks to check_int, so that a fractional
+    # value from a library caller is refused, not truncated
+    source = sources()["testfunctions.py"]
+    builders = catalog_builders(source)
+    assert builders
+    found = {
+        node.name: sorted(
+            call.func.id
+            for call in ast.walk(node)
+            if isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Name)
+            and call.func.id in {"int", "float"}
+        )
+        for node in ast.parse(source).body
+        if isinstance(node, ast.FunctionDef) and node.name in builders
+    }
+    assert set(found) == builders
+    assert {name: calls for name, calls in found.items() if calls} == {}
+
+
+def test_only_the_cli_imports_csv():
+    importers = {
+        name
+        for name, source in sources().items()
+        for node in ast.walk(ast.parse(source))
+        if (isinstance(node, ast.Import) and any(alias.name == "csv" for alias in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "csv")
+    }
+    assert importers == {"cli.py"}
