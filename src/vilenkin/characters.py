@@ -76,9 +76,10 @@ def dirichlet_table(structure: GroupStructure, k: int) -> np.ndarray:
 def block_dirichlet(structure: GroupStructure, n: int, z) -> np.ndarray:
     """D_{M_n} evaluated via the closed form M_n * [z in I_n].
 
-    Exact by construction; `z` may be a scalar index or an index array.
+    Exact by construction; `z` is a point index or an index array.
     """
     n = check_int("block level", n, 0, structure.depth)
+    structure.check_points(z)
     Mn = structure.orders[n]
     z = np.asarray(z)
     out = np.where(z % Mn == 0, float(Mn), 0.0)

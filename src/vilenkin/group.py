@@ -59,8 +59,7 @@ def check_int(name: str, value, low: int, high: Optional[int] = None) -> int:
 
     Every scalar order, level, depth, radix, digit, coordinate, index_base
     and center is checked here, so no entry truncates or computes with a
-    non-integer.  Some scans call it per shift, so the common case takes
-    one type test and one comparison.
+    non-integer.  The common case takes one type test and one comparison.
     """
     if type(value) is int or isinstance(value, np.integer):
         if low <= value and (high is None or value <= high):
@@ -182,7 +181,9 @@ class GroupStructure:
         integer in [0, M_L).
 
         The digit tables would wrap a negative index without error, so every
-        evaluator at points calls this before reading them.
+        evaluator at points calls this before reading them, or reads them only
+        through ``add``, ``sub`` and ``characters.block_dirichlet``, which call
+        it themselves.
         """
         for i in indices:
             i = np.asarray(i)
@@ -196,6 +197,7 @@ class GroupStructure:
 
     def add(self, x, y):
         """Coordinate-wise modular sum of linear indices (scalars or arrays)."""
+        self.check_points(x, y)
         dx = self.digit_table[np.asarray(x)]
         dy = self.digit_table[np.asarray(y)]
         out = self._pack((dx + dy) % np.array(self.radices))
@@ -203,6 +205,7 @@ class GroupStructure:
 
     def sub(self, x, y):
         """Coordinate-wise modular difference of linear indices."""
+        self.check_points(x, y)
         dx = self.digit_table[np.asarray(x)]
         dy = self.digit_table[np.asarray(y)]
         out = self._pack((dx - dy) % np.array(self.radices))
@@ -213,7 +216,6 @@ class GroupStructure:
 
     def add_outer(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Table of x + y over the cartesian product of two index arrays."""
-        self.check_points(xs, ys)
         return self.add(np.asarray(xs)[:, None], np.asarray(ys)[None, :])
 
     # -- intervals and measure ------------------------------------------------

@@ -177,7 +177,6 @@ def r_factor(structure: GroupStructure, i: int, n: int, x, y):
     ``x`` and ``y`` are point indices or index arrays that broadcast.
     """
     _check_factor_range(structure, i, n)
-    structure.check_points(x, y)
     digits = structure.digit_table[structure.add(x, y)]
     values = np.ones(digits.shape[:-1], dtype=np.complex128)
     for l in range(i, n + 1):
@@ -200,7 +199,6 @@ def r_factor_closed(structure: GroupStructure, i: int, n: int, x, y):
 
     ``x`` and ``y`` are point indices or index arrays that broadcast.
     """
-    structure.check_points(x, y)
     return r_factor_table(structure, i, n)[structure.add(x, y)]
 
 
@@ -236,7 +234,6 @@ def kernel_decomposition_rhs(structure: GroupStructure, A: int, x, y):
     ``y`` are point indices or index arrays that broadcast.
     """
     A = check_int("block level", A, 1, structure.depth)
-    structure.check_points(x, y)
     w = structure.add(x, y)
     total = 0.0
     for k in range(A):
@@ -276,9 +273,8 @@ def _fejer_table(structure: GroupStructure, n: int) -> np.ndarray:
 # other, and sums the same terms in the same order at every element, so an
 # array call equals the scalar calls at its elements to the last bit.  Terms
 # that vanish at a point are added as exact zeros, which leave a non-negative
-# total unchanged.  Each majorant checks its points once at entry; the helpers
-# it calls per shift (``block_dirichlet``, ``GroupStructure.add`` and ``sub``)
-# do not check them.
+# total unchanged.  Each majorant checks its points at entry, directly or
+# through the first ``GroupStructure.add`` it makes.
 #
 # A shifted block kernel needs no digit arithmetic.  z - k e_s lies in I_l iff
 # the digits of z below l are those of k e_s below l: for s < l that is
@@ -319,14 +315,10 @@ def block_shift_majorant(
     structure.check_points(x)
     s_top = A if include_diagonal_shift else A - 1
     s_top = min(s_top, structure.depth - 1)
-    MA = structure.orders[A]
     # zeros shaped like x, so a sum without terms is an array for an array x
     total = np.zeros(np.shape(x))[()]
     for s in range(s_top + 1):
-        weight = structure.orders[s] / MA
-        for xs in range(1, structure.radices[s]):
-            z = structure.sub(x, xs * structure.orders[s])
-            total += weight * block_dirichlet(structure, A, z)
+        total += structure.orders[s] / structure.orders[A] * _shift_block_sum(structure, A, s, x)
     return total
 
 
@@ -383,7 +375,6 @@ def kernel_majorant_2d(
     structure: GroupStructure, n: int, x: int | np.ndarray, y: int | np.ndarray
 ) -> float | np.ndarray:
     """Four-sum majorant for n |K_n(x, y)| with r-weights and block shifts."""
-    structure.check_points(x, y)
     A = structure.index_order(n)
     w = structure.add(x, y)
     Dx = [block_dirichlet(structure, k, x) for k in range(A + 1)]
@@ -479,10 +470,8 @@ def estimate_scan(
     kernels' through (2,3) depth 5, and 17 of the 215 lemma2 rows at depth 6
     differ in the last bit.
 
-    est2, fejer and lemma2 take their shifted block kernels in closed form,
-    with no digit arithmetic.  est1's ``block_shift_majorant`` still shifts
-    with ``GroupStructure.sub``: it has L - 1 levels, not M_L orders, so its
-    scans are already the cheapest.
+    Every majorant takes its shifted block kernels in closed form
+    (``_shift_block_sum``), with no digit arithmetic.
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and >= 0, got {tol}")

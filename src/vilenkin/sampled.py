@@ -91,9 +91,9 @@ def require_arity(f: SampledFunction, arity: int, name: str) -> None:
 
 
 def check_exponent(p: float) -> float:
-    """The exponent p as a float; rejects p <= 0."""
+    """The exponent p as a float; rejects p <= 0 and NaN."""
     p = float(p)
-    if p <= 0:
+    if not p > 0:
         raise ValueError(f"invalid-exponent: p must be positive, got {p}")
     return p
 

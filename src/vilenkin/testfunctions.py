@@ -125,7 +125,10 @@ def parse_fn_spec(spec: str) -> tuple[str, dict]:
             key, _, value = part.partition("=")
             if not _:
                 raise ValueError(f"malformed parameter {part!r} (expected key=value)")
-            params[key.strip()] = value.strip()
+            key = key.strip()
+            if key in params:
+                raise ValueError(f"parameter {key} given twice in {spec!r}")
+            params[key] = value.strip()
     return name, params
 
 

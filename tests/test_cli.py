@@ -165,6 +165,10 @@ def test_unknown_function_rejected(capsys):
     [
         (("convergence", "--radices", "2,3", "--fn", "indicator:N=9"), "indicator depth N 9 not in [0, 2]"),
         (("convergence", "--radices", "2,3", "--fn", "indicator:bogus=1"), "unknown parameter(s) bogus"),
+        (
+            ("convergence", "--radices", "2,3", "--depth", "2", "--points", "1", "--fn", "indicator:N=1,N=2"),
+            "parameter N given twice in 'indicator:N=1,N=2'",
+        ),
         (("verify-operators", "--radices", "2,3", "--points", "-3"), "--points must be >= 1"),
         (("convergence", "--radices", "2,3", "--points", "0"), "--points must be >= 1"),
         (("atoms", "--radices", "2,3", "--depth", "1"), "atoms needs depth >= 2"),

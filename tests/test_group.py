@@ -11,6 +11,7 @@ from vilenkin import (
     GroupStructure,
     SampledFunction,
     haar_integrate,
+    hardy_quasinorm,
     lp_norm,
     make_structure,
     vilenkin_column,
@@ -189,6 +190,11 @@ def test_lp_norm_validates_exponent():
     assert lp_norm(g, np.inf) == 4.0
     with pytest.raises(ValueError, match="invalid-exponent"):
         lp_norm(f, 0.0)
+    # NaN fails `p <= 0` as well as `p > 0`, so it needs its own case
+    f2 = SampledFunction(s, np.ones((s.size, s.size)))
+    for call in (lambda: lp_norm(f, np.nan), lambda: hardy_quasinorm(f2, np.nan)):
+        with pytest.raises(ValueError, match="invalid-exponent: p must be positive, got nan"):
+            call()
 
 
 def test_table_store_returns_one_read_only_table():

@@ -410,6 +410,17 @@ def test_shifted_block_kernels_in_closed_form_equal_the_shifted_ones(radices, de
             for x in range(s.size):
                 scalar = _shift_block_sum(s, level, shift, x)
                 assert isinstance(scalar, float) and scalar == sum(v[x] for v in shifted)
+    # est1's majorant sums the closed forms; the reference shifts each point
+    # with `sub` and evaluates one block kernel per shift, as the sum is written
+    for A in range(s.depth + 1):
+        for diagonal in (True, False):
+            reference = np.zeros(s.size)
+            for shift in range(min(A if diagonal else A - 1, s.depth - 1) + 1):
+                weight = s.orders[shift] / s.orders[A]
+                for k in range(1, s.radices[shift]):
+                    reference += weight * block_dirichlet(s, A, s.sub(xs, k * s.orders[shift]))
+            majorant = block_shift_majorant(s, A, xs, include_diagonal_shift=diagonal)
+            assert majorant.tobytes() == reference.tobytes(), (A, diagonal)
 
 
 def test_est2_fejer_and_lemma2_make_no_group_difference(monkeypatch):
@@ -422,12 +433,11 @@ def test_est2_fejer_and_lemma2_make_no_group_difference(monkeypatch):
 
     monkeypatch.setattr(GroupStructure, "sub", counted)
     s = make_structure((2, 3), 4)
-    for estimate in ("est2", "fejer", "lemma2"):
+    # no estimate scan, est1 in either convention included, shifts with `sub`
+    for estimate in ("est1", "est2", "fejer", "lemma2"):
         estimate_scan(s, estimate)
+    estimate_scan(s, "est1", include_diagonal_shift=False)
     assert calls == []
-    # est1's block_shift_majorant still shifts by digit arithmetic
-    estimate_scan(s, "est1")
-    assert calls
 
 
 @pytest.mark.parametrize(

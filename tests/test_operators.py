@@ -450,6 +450,11 @@ def test_point_indices_out_of_range_rejected(rng):
                 lambda point=point: vilenkin.block_shift_majorant(s, 1, point),
                 lambda point=point: vilenkin.kernel_majorant_2d(s, 3, point, 0),
                 lambda point=point: vilenkin.kernel_majorant_2d(s, 3, 0, point),
+                lambda point=point: s.add(point, 0),
+                lambda point=point: s.add(0, point),
+                lambda point=point: s.sub(point, 0),
+                lambda point=point: s.sub(0, point),
+                lambda point=point: vilenkin.block_dirichlet(s, 1, point),
             ]
         for call in calls:
             with pytest.raises(ValueError, match="point index"):
