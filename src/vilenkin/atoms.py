@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .group import GroupStructure, check_int
+from .group import GroupStructure, check_int, check_real
 from .operators import _lift, _v_grids, maximal_function_grid, v_sup_grid
 from .sampled import SampledFunction, check_exponent, lp_norm, require_arity
 
@@ -33,7 +33,7 @@ _ATOM_TOL = 1e-10
 def _atom_parameters(structure: GroupStructure, p, N, center_x, center_y) -> tuple:
     """The exponent as a float in (1/2, 1], the support depth as an int in
     [0, L] and the centers as points of the group; rejects anything else."""
-    p = float(p)
+    p = check_real("atom exponent p", p)
     if not 0.5 < p <= 1.0:
         raise ValueError(f"atom exponent p must lie in (1/2, 1], got {p}")
     N = check_int("support depth", N, 0, structure.depth)
@@ -45,9 +45,9 @@ def _atom_parameters(structure: GroupStructure, p, N, center_x, center_y) -> tup
 class Atom:
     """A p-atom supported on I_N(center_x) x I_N(center_y).
 
-    Construction checks the parameters as ``make_atom`` does and that the
-    function is a 2-D sample; whether the function is an atom there is
-    ``verify_atom``'s question.
+    Construction checks the parameters as ``make_atom`` does, the seed when
+    one is given, and that the function is a 2-D sample; whether the function
+    is an atom there is ``verify_atom``'s question.
     """
 
     p: float
@@ -64,6 +64,8 @@ class Atom:
         )
         for name, value in zip(("p", "support_depth", "center_x", "center_y"), checked):
             object.__setattr__(self, name, value)
+        if self.seed is not None:
+            object.__setattr__(self, "seed", check_int("atom seed", self.seed, 0))
 
     @property
     def structure(self) -> GroupStructure:
@@ -92,6 +94,7 @@ def make_atom(
     """Draw a random real atom: uniform values on the support square,
     mean-subtracted, rescaled to sit just inside the sup-norm budget."""
     p, N, center_x, center_y = _atom_parameters(structure, p, N, center_x, center_y)
+    seed = check_int("atom seed", seed, 0)
     rows = structure.interval_indices(N, center_x)
     cols = structure.interval_indices(N, center_y)
     if rows.size * cols.size < 2:

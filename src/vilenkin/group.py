@@ -69,6 +69,15 @@ def check_int(name: str, value, low: int, high: Optional[int] = None) -> int:
     raise ValueError(f"{name} {value!r} is not an integer")
 
 
+def check_real(name: str, value) -> float:
+    """``value`` as a float if it is a real number (a Python int or float, not
+    a bool, or a numpy integer or float); otherwise a ValueError naming
+    ``name``.  Ranges, and NaN, are left to the caller's own interval test."""
+    if type(value) in (int, float) or isinstance(value, (np.integer, np.floating)):
+        return float(value)
+    raise ValueError(f"{name} {value!r} is not a real number")
+
+
 class _TableStore:
     """Read-only tables under one byte budget, with lookup counters."""
 
@@ -215,8 +224,11 @@ class GroupStructure:
         return digit_rows @ np.array(self.orders[: self.depth])
 
     def add_outer(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Table of x + y over the cartesian product of two index arrays."""
-        return self.add(np.asarray(xs)[:, None], np.asarray(ys)[None, :])
+        """Table of x + y over the cartesian product of two 1-D index arrays."""
+        xs, ys = np.asarray(xs), np.asarray(ys)
+        if xs.ndim != 1 or ys.ndim != 1:
+            raise ValueError(f"add_outer takes two 1-D index arrays, not {xs.ndim}-D and {ys.ndim}-D")
+        return self.add(xs[:, None], ys[None, :])
 
     # -- intervals and measure ------------------------------------------------
 

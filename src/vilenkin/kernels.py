@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .characters import block_dirichlet, character_table
-from .group import GroupStructure, check_int
+from .group import GroupStructure, check_int, check_real
 
 ESTIMATE_IDS = ("est1", "est2", "fejer", "lemma2")
 
@@ -473,6 +473,7 @@ def estimate_scan(
     Every majorant takes its shifted block kernels in closed form
     (``_shift_block_sum``), with no digit arithmetic.
     """
+    tol = check_real("tol", tol)
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
     if not include_diagonal_shift and estimate != "est1":

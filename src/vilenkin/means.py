@@ -12,6 +12,7 @@ one another:
 
   direct      average the masked partial sums S_{j,j}
   multiplier  apply lambda_n(a, b) = max(0, n - 1 - max(a, b) + base)/n to fhat
+              on G/I_P, M_P >= n, where the mean lives (``_mean_on_quotient``)
   kernel      convolve with the 2-D kernel of order n
 """
 
@@ -58,16 +59,28 @@ def sigma_multiplier(structure: GroupStructure, n: int, index_base: int = 0) -> 
     return counts / n
 
 
+def _mean_on_quotient(coeffs, structure: GroupStructure, n: int, index_base: int) -> np.ndarray:
+    """sigma_n f on G/I_P, P >= 1 the least level with M_P >= n, from f's 2-D
+    coefficients: lambda_n vanishes outside their leading M_P x M_P block, so it
+    is one inverse of that block, and sigma_n f(x) is its value at x mod M_P."""
+    quotient = structure.quotient(structure.index_order(max(n - 1, 1)) + 1)
+    order = quotient.size
+    block = coeffs[:order, :order] * sigma_multiplier(quotient, n, index_base)
+    return inverse(Spectrum(quotient, block)).values
+
+
 def marcinkiewicz_means(
     f: SampledFunction, n: int, method: str = "multiplier", index_base: int = 0
 ) -> SampledFunction:
-    """Order-n Marcinkiewicz-Fejer mean of a 2-D sample by the chosen route."""
+    """Order-n Marcinkiewicz-Fejer mean of a 2-D sample by the chosen route; the
+    multiplier route inverts on G/I_P, M_P >= n, and tiles the mean to the grid."""
     require_arity(f, 2, "marcinkiewicz_means")
     n = check_int("mean order", n, 1, f.structure.size)
     index_base = check_index_base(index_base)
     if method == "multiplier":
-        coeffs = forward(f).coefficients * sigma_multiplier(f.structure, n, index_base)
-        return inverse(Spectrum(f.structure, coeffs))
+        mean = _mean_on_quotient(forward(f).coefficients, f.structure, n, index_base)
+        reps = f.structure.size // len(mean)
+        return SampledFunction(f.structure, np.tile(mean, (reps, reps)))
     if method == "direct":
         spectrum = forward(f)
         sums = (_masked_partial_sum(spectrum, j, j).values for j in range(index_base, n + index_base))

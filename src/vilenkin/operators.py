@@ -16,7 +16,8 @@ point or a batch.
 ``means_error`` sets the error of a Marcinkiewicz-Fejer mean at a point
 beside its majorant (1/n) sum_j M_j W_j.  ``lebesgue_reports`` sets each W
 sequence beside the errors of the means sigma_{M_j} f, each a function on
-the quotient G/I_j.
+the quotient G/I_j.  Both take their means from the one multiplier route,
+``means._mean_on_quotient``.
 
 The components V_n^(1..4) re-express the same geometry with indicator
 weights instead of the r product, applied to f itself:
@@ -79,9 +80,9 @@ import numpy as np
 
 from .group import GroupStructure, check_int
 from .kernels import check_index_base, r_factor, r_factor_table
-from .means import marcinkiewicz_means, sigma_multiplier
-from .sampled import SampledFunction, Spectrum, require_arity
-from .transform import convolve, forward, inverse
+from .means import _mean_on_quotient, marcinkiewicz_means
+from .sampled import SampledFunction, require_arity
+from .transform import convolve, forward
 
 
 # -- shared index helpers -------------------------------------------------------
@@ -460,11 +461,9 @@ def lebesgue_reports(
 ) -> list[LebesgueReport]:
     """Classify several points, sharing one transform of f.
 
-    The mean of order M_j is the multiplier route of ``marcinkiewicz_means``
-    applied to that transform, taken on the quotient G/I_j: its multiplier
-    vanishes outside the leading M_j x M_j block of coefficients, whose
-    characters depend only on the digits below j, so sigma_{M_j} f is a
-    function on G/I_j.  It is one M_j x M_j inverse of that block, read at
+    The mean of order M_j is the multiplier route of ``marcinkiewicz_means``,
+    ``means._mean_on_quotient``, applied to that transform: sigma_{M_j} f is a
+    function on the quotient G/I_j, one M_j x M_j inverse, read at
     (x mod M_j, y mod M_j).  W_1..W_L come from one ``_w_values`` call for
     the whole batch: one gather per point, summed over the cosets fine to
     coarse.
@@ -483,11 +482,9 @@ def lebesgue_reports(
     # the mean grids are read at the points only, so none of them is kept
     sigma_errors = np.empty((structure.depth, len(xs)))
     for j in range(1, structure.depth + 1):
-        quotient = structure.quotient(j)
-        order = quotient.size
-        block = coeffs[:order, :order] * sigma_multiplier(quotient, order, index_base)
-        mean = inverse(Spectrum(quotient, block))
-        sigma_errors[j - 1] = np.abs(mean.values[xs % order, ys % order] - f.values[xs, ys])
+        order = structure.orders[j]
+        mean = _mean_on_quotient(coeffs, structure, order, index_base)
+        sigma_errors[j - 1] = np.abs(mean[xs % order, ys % order] - f.values[xs, ys])
     w = _w_values(f, xs, ys, range(1, structure.depth + 1)).tolist()
     digits = structure.digit_table
     rows = zip(

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .group import GroupStructure
+from .group import GroupStructure, check_real
 
 
 def _validate_values(structure: GroupStructure, values: np.ndarray) -> np.ndarray:
@@ -91,8 +91,8 @@ def require_arity(f: SampledFunction, arity: int, name: str) -> None:
 
 
 def check_exponent(p: float) -> float:
-    """The exponent p as a float; rejects p <= 0 and NaN."""
-    p = float(p)
+    """The exponent p as a float; rejects a non-real p, p <= 0 and NaN."""
+    p = check_real("invalid-exponent: p", p)
     if not p > 0:
         raise ValueError(f"invalid-exponent: p must be positive, got {p}")
     return p

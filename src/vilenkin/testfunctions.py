@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .characters import vilenkin_column
-from .group import GroupStructure, check_int
+from .group import GroupStructure, check_int, check_real
 from .sampled import SampledFunction
 
 
@@ -45,6 +45,7 @@ def _jump(structure: GroupStructure, theta: float = 1.0 / 3.0) -> SampledFunctio
     resolved by the digit structure, so oscillation persists near the
     interface at every depth.
     """
+    theta = check_real("jump theta", theta)
     # a NaN fails the comparison, so it is refused here too
     if not 0 <= theta < 1:
         raise ValueError(f"jump theta={theta} is outside [0, 1)")

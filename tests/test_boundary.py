@@ -1,8 +1,10 @@
-"""Every scalar order, level, depth, radix, digit, coordinate, index_base and
-center is checked once at the entry that takes it: an integer (a Python or
-numpy integer, not a bool) in its range passes, and anything else raises a
-ValueError that names the parameter.  No entry truncates a non-integer or
-computes with it."""
+"""Every scalar order, level, depth, radix, digit, coordinate, index_base,
+center and seed is checked once at the entry that takes it: an integer (a
+Python or numpy integer, not a bool) in its range passes, and anything else
+raises a ValueError that names the parameter.  No entry truncates a
+non-integer or computes with it.  Every real-valued parameter (an exponent, a
+tolerance, a jump location) is a Python or numpy int or float, not a bool or
+a string, or a ValueError names it."""
 
 import re
 
@@ -10,16 +12,20 @@ import numpy as np
 import pytest
 
 from vilenkin import (
+    Atom,
     GroupStructure,
     block_dirichlet,
     block_shift_majorant,
     build_test_function,
     dirichlet_shift,
     dirichlet_table,
+    estimate_scan,
     fejer_kernel_1d,
     fejer_means_1d,
+    hardy_quasinorm,
     kernel_decomposition_rhs,
     lebesgue_reports,
+    lp_norm,
     make_atom,
     make_structure,
     marcinkiewicz_kernel,
@@ -36,7 +42,7 @@ from vilenkin import (
     vilenkin,
     w_operator_2d,
 )
-from vilenkin.group import check_int
+from vilenkin.group import check_int, check_real
 from vilenkin.operators import v_kernel_table
 
 from conftest import random_sample
@@ -45,6 +51,13 @@ from conftest import random_sample
 S = make_structure((2, 3))
 F = random_sample(S, np.random.default_rng(0))
 F1 = random_sample(S, np.random.default_rng(1), arity=1)
+A = make_atom(S, 0.8, 1)
+
+
+def _atom_with_seed(seed):
+    fields = ("p", "support_depth", "center_x", "center_y", "function")
+    return Atom(**{name: getattr(A, name) for name in fields}, seed=seed)
+
 
 # (parameter name, the entry called with the value, an out-of-range value, a valid value)
 ENTRIES = {
@@ -103,6 +116,8 @@ ENTRIES = {
     "v_component component": ("component", lambda v: v_component(F, 0, 0, 1, v), 5, 4),
     "make_atom support depth": ("support depth", lambda v: make_atom(S, 0.8, v), 3, 1),
     "make_atom center": ("point index", lambda v: make_atom(S, 0.8, 1, center_y=v), 6, 5),
+    "make_atom seed": ("atom seed", lambda v: make_atom(S, 0.8, 1, seed=v), -1, 1),
+    "Atom seed": ("atom seed", _atom_with_seed, -1, 1),
 }
 
 
@@ -135,6 +150,60 @@ def test_check_int_returns_a_python_int_and_names_what_it_rejects():
             check_int("n", bad, 0, 3)
     with pytest.raises(ValueError, match=re.escape("n 0 not in [1, inf)")):
         check_int("n", 0, 1)
+
+
+def test_an_atom_seed_is_an_integer_or_a_directly_built_atom_has_none():
+    # a seed of None would draw from the OS entropy, and the atom could not
+    # be reproduced from what it records
+    with pytest.raises(ValueError, match="^atom seed None is not an integer"):
+        make_atom(S, 0.8, 1, seed=None)
+    with pytest.raises(ValueError, match="^atom seed 'x' is not an integer"):
+        _atom_with_seed("x")
+    assert _atom_with_seed(None).seed is None
+    kept = _atom_with_seed(np.int64(3))
+    assert kept.seed == 3 and type(kept.seed) is int
+    assert make_atom(S, 0.8, 1, seed=np.uint8(7)).function == make_atom(S, 0.8, 1, seed=7).function
+
+
+# (parameter name, the entry called with the value, a valid value)
+REAL_ENTRIES = {
+    "make_atom p": ("atom exponent p", lambda v: make_atom(S, v, 1), 0.8),
+    "Atom p": ("atom exponent p", lambda v: Atom(v, 1, 0, 0, A.function), 0.8),
+    "lp_norm": ("invalid-exponent: p", lambda v: lp_norm(F, v), 2),
+    "hardy_quasinorm": ("invalid-exponent: p", lambda v: hardy_quasinorm(F, v), 1),
+    "estimate_scan tol": ("tol", lambda v: estimate_scan(S, "est2", tol=v), 1e-9),
+    "jump theta": ("jump theta", lambda v: build_test_function(S, "jump", theta=v), 0.25),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(REAL_ENTRIES))
+def test_each_real_parameter_takes_a_real_number_and_names_anything_else(entry):
+    name, call, valid = REAL_ENTRIES[entry]
+    named = rf"^{re.escape(name)} .* is not a real number$"
+    bads = [True, np.bool_(False), None, complex(valid), np.array([valid])]
+    # build_test_function parses a string with the parameter's declared parser
+    if entry != "jump theta":
+        bads.append(str(valid))
+    for bad in bads:
+        with pytest.raises(ValueError, match=named):
+            call(bad)
+    for good in (valid, float(valid), np.float64(valid), np.float32(valid)):
+        call(good)
+
+
+def test_check_real_returns_a_float_and_leaves_ranges_and_nan_to_the_caller():
+    for value in (3, 2.5, np.int64(3), np.float32(0.5), float("inf")):
+        got = check_real("x", value)
+        assert got == float(value) and type(got) is float
+    assert np.isnan(check_real("x", float("nan")))
+    for bad, message in (
+        (False, "x False is not a real number"),
+        ("1", "x '1' is not a real number"),
+        (None, "x None is not a real number"),
+        (1 + 0j, "x (1+0j) is not a real number"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            check_real("x", bad)
 
 
 def test_marcinkiewicz_means_of_a_fractional_order_are_refused_on_every_route():

@@ -136,6 +136,10 @@ def test_add_outer_is_add_over_the_product_and_rejects_points_outside_the_group(
     for xs, ys, bad in (([-1], [0], -1), ([0], [6], 6), ([0, 1], [2, -3], -3)):
         with pytest.raises(ValueError, match=f"point index {bad} not in"):
             s.add_outer(xs, ys)
+    # scalars, or a table where an array belongs, are not two index arrays
+    for xs, ys in ((1, 2), ([1], 2), (np.zeros((2, 2), dtype=int), [0])):
+        with pytest.raises(ValueError, match="^add_outer takes two 1-D index arrays"):
+            s.add_outer(xs, ys)
 
 
 def test_in_interval():

@@ -3,7 +3,8 @@ top, and every private function or class it defines is read somewhere in the
 package.  The reference routes live in ``oracles`` apart from the routes they
 check, every public name is read by the package or kept on purpose, every
 integer range is checked in ``group``, the test-function catalog converts
-its string parameters in one place, and only the CLI reads or writes CSV."""
+its string parameters in one place, only the CLI reads or writes CSV, and
+only ``means`` applies the mean's spectral multiplier."""
 
 import ast
 from pathlib import Path
@@ -129,6 +130,15 @@ def test_atoms_reads_v_only_through_the_operators_engine():
     # is decided in operators alone
     internals = {"v_kernel_table", "quotient", "_coset_means", "convolve"}
     assert sorted(internals & names_read(sources()["atoms.py"])) == []
+
+
+def test_only_the_means_module_reads_the_sigma_multiplier():
+    # every multiplier-route mean, sigma_{M_j} in lebesgue_reports included,
+    # comes from means._mean_on_quotient
+    readers = {
+        name for name, source in sources().items() if "sigma_multiplier" in names_read(source)
+    }
+    assert readers == {"means.py"}
 
 
 def test_every_private_definition_is_read_by_the_package():

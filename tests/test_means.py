@@ -115,6 +115,32 @@ def test_direct_route_transforms_once_and_matches_the_partial_sums(monkeypatch, 
         assert direct.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("radices", [(2, 3), (3, 2)])
+def test_multiplier_route_inverts_once_on_the_least_quotient_that_holds_the_order(
+    monkeypatch, rng, radices
+):
+    # lambda_n vanishes outside the leading M_P x M_P coefficients, M_P >= n
+    s = make_structure(radices, 3)
+    f = random_sample(s, rng)
+    for index_base in (0, 1):
+        for n in range(1, s.size + 1):
+            sizes = []
+
+            def counted(spectrum, _inverse=transform.inverse):
+                sizes.append(spectrum.structure.size)
+                return _inverse(spectrum)
+
+            # every namespace that binds inverse, so no call escapes the count
+            with monkeypatch.context() as patch:
+                for module in (transform, means, vilenkin):
+                    patch.setattr(module, "inverse", counted)
+                got = marcinkiewicz_means(f, n, "multiplier", index_base).values
+            assert sizes == [min(M for M in s.orders[1:] if M >= n)]
+            for method in ("direct", "kernel"):
+                want = marcinkiewicz_means(f, n, method, index_base).values
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
 def test_three_methods_agree_exhaustively(rng):
     s = make_structure((2, 3))
     f = random_sample(s, rng)

@@ -269,7 +269,7 @@ def test_lebesgue_reports_invert_each_mean_on_its_quotient(monkeypatch, rng):
         return _inverse(spectrum)
 
     # every namespace that binds inverse, so no call escapes the count
-    for module in (transform, operators, means, vilenkin):
+    for module in (transform, means, vilenkin):
         monkeypatch.setattr(module, "inverse", counted)
     lebesgue_reports(f, [(0, 0), (7, 30)])
     assert sizes == list(s.orders[1:])
