@@ -21,7 +21,6 @@ from .characters import (
     dirichlet,
     dirichlet_shift,
     dirichlet_table,
-    rademacher,
     vilenkin,
     vilenkin_column,
 )
@@ -39,7 +38,6 @@ from .kernels import (
     r_factor,
     r_factor_closed,
     r_factor_table,
-    rademacher_power_sum,
     scale_sum_majorant,
 )
 from .means import (
@@ -68,7 +66,7 @@ from .oracles import (
     v_component,
     v_maximal,
 )
-from .sampled import SampledFunction, Spectrum, haar_integrate, lp_norm
+from .sampled import SampledFunction, Spectrum, lp_norm
 from .testfunctions import build_test_function, list_test_functions, parse_fn_spec
 from .transform import convolve, forward, inverse
 

@@ -14,8 +14,8 @@ from typing import Optional
 import numpy as np
 
 from .group import GroupStructure, check_int, check_real
-from .operators import _lift, _v_grids, maximal_function_grid, v_sup_grid
-from .sampled import SampledFunction, check_exponent, lp_norm, require_arity
+from .operators import _v_grids, maximal_function_grid, v_sup_grid
+from .sampled import SampledFunction, _lift, check_exponent, lp_norm, require_arity
 
 # generated atoms sit this far inside the sup-norm budget; keeps the bound
 # strict under roundoff while staying within 1% of equality

@@ -1,14 +1,13 @@
-"""Generalized Rademacher functions, the Vilenkin character system, and
-Dirichlet kernels with their structural identities.
+"""The Vilenkin character system, and Dirichlet kernels with their
+structural identities.
 
-The k-th Rademacher function depends only on coordinate k,
-
-    r_k(x) = exp(2 pi i x_k / m_k),
-
-and the characters are products of Rademacher powers indexed by the digits
-of n.  Dirichlet kernels are the plain partial sums D_k = sum_{j<k} psi_j
-with D_0 the empty sum.  Character values come out of precomputed
-root-of-unity tables, so identity tests see exact unit-modulus factors.
+The k-th generalized Rademacher function r_k(x) = exp(2 pi i x_k / m_k)
+depends only on coordinate k; it is the character psi_{M_k}, that is
+``vilenkin(structure, structure.orders[k], x)``, and the characters are
+products of Rademacher powers indexed by the digits of n.  Dirichlet
+kernels are the plain partial sums D_k = sum_{j<k} psi_j with D_0 the empty
+sum.  Character values come out of precomputed root-of-unity tables, so
+identity tests see exact unit-modulus factors.
 """
 
 from __future__ import annotations
@@ -16,13 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 from .group import GroupStructure, check_int
-
-
-def rademacher(structure: GroupStructure, k: int, x: int) -> complex:
-    """r_k(x) = exp(2 pi i x_k / m_k)."""
-    k = check_int("coordinate", k, 0, structure.depth - 1)
-    structure.check_points(x)
-    return complex(structure.root_tables[k][structure.digit_table[x, k]])
 
 
 def vilenkin(structure: GroupStructure, n: int, x):

@@ -78,6 +78,15 @@ def check_real(name: str, value) -> float:
     raise ValueError(f"{name} {value!r} is not a real number")
 
 
+def check_bool(name: str, value) -> bool:
+    """``value`` as a bool if it is a Python or numpy bool; otherwise a
+    ValueError naming ``name``, so a flag given as ``"no"``, 0 or None is
+    refused rather than read by its truth value."""
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    raise ValueError(f"{name} {value!r} is not a bool")
+
+
 class _TableStore:
     """Read-only tables under one byte budget, with lookup counters."""
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .characters import block_dirichlet, character_table
-from .group import GroupStructure, check_int, check_real
+from .group import GroupStructure, check_bool, check_int, check_real
 
 ESTIMATE_IDS = ("est1", "est2", "fejer", "lemma2")
 
@@ -80,48 +80,27 @@ def _dirichlet_stack(structure: GroupStructure, n: int) -> np.ndarray:
     return stack
 
 
-def _kernel_sums(structure: GroupStructure):
-    """Yield (n, n K_n) of the 2-D kernel for n = 1 .. M_L - 1 by running sums.
-
-    ``n K_n`` is ``sum_{k<n} D_k (x) D_k``.  Each step adds one character row
-    to ``D`` and one outer product to the sum, in the order the cumsum of
-    ``_dirichlet_stack`` adds the rows.  The yielded array is updated in
-    place by the next step.  The 1-D sums are taken a block of orders at a
-    time by ``_fejer_sum_blocks``.
-    """
-    table = character_table(structure)
-    dirichlet = np.zeros(structure.size, dtype=np.complex128)
-    total = np.zeros((structure.size,) * 2, dtype=np.complex128)
-    for n in range(1, structure.size):
-        if n > 1:
-            dirichlet += table[n - 2]  # D_{n-1} = D_{n-2} + psi_{n-2}
-        total += np.multiply.outer(dirichlet, dirichlet)
-        yield n, total
-
-
-# most bytes one block of the 1-D walk holds, its carried row included
+# most bytes one block of the walk holds, its carried row included
 WALK_BLOCK_BYTES = 4 * 2**20
 
 
-def _fejer_sum_blocks(structure: GroupStructure):
-    """Yield (orders, sums) for n = 1 .. M_L - 1, a block of orders at a
-    time; row i of ``sums`` is ``n K_n = sum_{k<n} D_k`` of the 1-D kernel
-    at ``n = orders[i]``.
+def _dirichlet_blocks(structure: GroupStructure):
+    """Yield (orders, block) for n = 1 .. M_L - 1, a block of orders at a
+    time; row i + 1 of ``block`` is ``D_{n-1}`` at ``n = orders[i]``, and row
+    0 is the row the block carries, the previous block's last ``D``.
 
     Blocks never straddle an order level, and a level takes as many blocks
     as keep each within ``WALK_BLOCK_BYTES`` (one order per block if a row
     alone is larger), so memory stays O(M_L) rows of M_L values, not the
-    O(M_L^2) of a whole level.  The rows ``D_{n-1}`` are a sequential
-    ``cumsum`` of character rows that continues the previous block's last
-    ``D``, and ``S_n`` a second ``cumsum`` of those rows that continues the
-    last ``S``: the terms are added one at a time in the order of
-    ``fejer_kernel_1d``, so every sum is the kernel's to the last bit.
+    O(M_L^2) of a whole level.  The rows are a sequential ``cumsum`` of
+    character rows that continues the carried ``D``, so they are the rows of
+    ``_dirichlet_stack`` to the last bit.  The walk keeps its own copy of the
+    last row, so the caller may overwrite the block in place.
     """
     table = character_table(structure)
     size = structure.size
     step = max(1, WALK_BLOCK_BYTES // (table.itemsize * size) - 1)
     dirichlet = np.zeros(size, dtype=np.complex128)
-    total = np.zeros(size, dtype=np.complex128)
     for A in range(structure.depth):
         for start in range(structure.orders[A], structure.orders[A + 1], step):
             stop = min(start + step, structure.orders[A + 1])
@@ -133,10 +112,7 @@ def _fejer_sum_blocks(structure: GroupStructure):
             block[first - start + 1 :] = table[first - 2 : stop - 2]
             np.cumsum(block, axis=0, out=block)
             dirichlet = block[-1].copy()
-            block[0] = total  # S_n = S_{n-1} + D_{n-1}
-            np.cumsum(block, axis=0, out=block)
-            total = block[-1].copy()
-            yield np.arange(start, stop), block[1:]
+            yield np.arange(start, stop), block
 
 
 def check_index_base(index_base: int) -> int:
@@ -184,14 +160,6 @@ def r_factor(structure: GroupStructure, i: int, n: int, x, y):
         root = structure.root_tables[l]
         values *= sum(root[(s * digits[..., l]) % m] for s in range(m))
     return values[()]
-
-
-def rademacher_power_sum(structure: GroupStructure, n: int, x):
-    """sum_{i=0}^{m_n - 1} r_n(x)^i, which is m_n when x_n = 0 and 0 otherwise.
-
-    This is the one-factor coupling product r_{n,n}(x, 0).
-    """
-    return r_factor(structure, n, n, x, 0)
 
 
 def r_factor_closed(structure: GroupStructure, i: int, n: int, x, y):
@@ -312,6 +280,7 @@ def block_shift_majorant(
     reported side by side by the scans.
     """
     A = check_int("block level", A, 0, structure.depth)
+    include_diagonal_shift = check_bool("include_diagonal_shift", include_diagonal_shift)
     structure.check_points(x)
     s_top = A if include_diagonal_shift else A - 1
     s_top = min(s_top, structure.depth - 1)
@@ -455,20 +424,18 @@ def estimate_scan(
     diagonal shift from est1's majorant; the other estimates do not read the
     flag and reject it.
 
-    The left sides n |K_n| come from walks over the orders that keep the
-    running sum S_n = n K_n, in place of a kernel rebuilt per order.  Each
-    left side is ``n * |S_n / n|``, as the kernels give it: they divide the
-    same sum by n, and ``n * (S / n)`` need not be S to the last bit.  In 1-D
-    (est2, fejer) the walk takes a block of orders at a time
-    (``_fejer_sum_blocks``): two sequential cumsums add the rows in the
-    kernels' order, so each left side equals ``n * |fejer_kernel_1d(n)|`` bit
-    for bit, and one block holds at most ``WALK_BLOCK_BYTES``, so memory
-    grows with M_L, not M_L^2.  In 2-D (lemma2) the walk steps one order at a
-    time (``_kernel_sums``), since one order's grid is already M_L^2 values;
-    the einsum of ``marcinkiewicz_kernel`` groups its terms differently, so
-    grid values may differ in the last bits; the rows are the rebuilt
-    kernels' through (2,3) depth 5, and 17 of the 215 lemma2 rows at depth 6
-    differ in the last bit.
+    The left sides n |K_n| come from one walk over the orders,
+    ``_dirichlet_blocks``, whose blocks of rows D_{n-1} feed the running sum
+    S_n = n K_n in place of a kernel rebuilt per order.  Each left side is
+    ``n * |S_n / n|``, as the kernels give it: they divide the same sum by
+    n, and ``n * (S / n)`` need not be S to the last bit.  In 1-D (est2,
+    fejer) S_n is a second cumsum of each block that continues the last S,
+    adding the rows in the kernels' order, so each left side equals
+    ``n * |fejer_kernel_1d(n)|`` bit for bit.  In 2-D (lemma2) each row adds
+    its D (x) D, one order at a time, since one order's grid is already
+    M_L^2 values; the einsum of ``marcinkiewicz_kernel`` groups its terms
+    differently, so the rows are the rebuilt kernels' through (2,3) depth 5,
+    and 17 of the 215 lemma2 rows at depth 6 differ in the last bit.
 
     Every majorant takes its shifted block kernels in closed form
     (``_shift_block_sum``), with no digit arithmetic.
@@ -476,6 +443,7 @@ def estimate_scan(
     tol = check_real("tol", tol)
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
+    include_diagonal_shift = check_bool("include_diagonal_shift", include_diagonal_shift)
     if not include_diagonal_shift and estimate != "est1":
         raise ValueError(f"include_diagonal_shift=False applies to est1 only, not {estimate!r}")
     report = EstimateReport(estimate, structure.radices, structure.depth)
@@ -490,17 +458,25 @@ def estimate_scan(
             report.per_order += _ratio_rows(rhs, tol)([A], lhs[None])
     elif estimate in ("est2", "fejer"):
         majorant = scale_sum_majorant if estimate == "est2" else double_shift_majorant
-        for orders, sums in _fejer_sum_blocks(structure):
+        total = np.zeros(structure.size, dtype=np.complex128)
+        for orders, block in _dirichlet_blocks(structure):
             if orders[0] in level_starts:
                 rows = _ratio_rows(majorant(structure, orders[0], xs), tol)
+            block[0] = total  # S_n = S_{n-1} + D_{n-1}
+            np.cumsum(block, axis=0, out=block)
+            total = block[-1].copy()
             n = orders[:, None]
-            report.per_order += rows(orders, n * np.abs(sums / n))
+            report.per_order += rows(orders, n * np.abs(block[1:] / n))
     elif estimate == "lemma2":
         grid = (xs[:, None], xs[None, :])
-        for n, total in _kernel_sums(structure):
-            if n in level_starts:
-                rows = _ratio_rows(kernel_majorant_2d(structure, n, *grid), tol)
-            report.per_order += rows([n], (n * np.abs(total / n)).reshape(1, -1))
+        total = np.zeros((structure.size,) * 2, dtype=np.complex128)
+        for orders, block in _dirichlet_blocks(structure):
+            # S_n = S_{n-1} + D_{n-1} (x) D_{n-1}
+            for n, dirichlet in zip(orders.tolist(), block[1:]):
+                if n in level_starts:
+                    rows = _ratio_rows(kernel_majorant_2d(structure, n, *grid), tol)
+                total += np.multiply.outer(dirichlet, dirichlet)
+                report.per_order += rows([n], (n * np.abs(total / n)).reshape(1, -1))
     else:
         raise ValueError(f"unknown estimate id {estimate!r}")
     return report

@@ -22,7 +22,7 @@ import numpy as np
 
 from .group import GroupStructure, check_int
 from .kernels import check_index_base, marcinkiewicz_kernel
-from .sampled import SampledFunction, Spectrum, require_arity
+from .sampled import SampledFunction, Spectrum, _lift, require_arity
 from .transform import convolve, forward, inverse
 
 _METHODS = ("direct", "multiplier", "kernel")
@@ -79,8 +79,7 @@ def marcinkiewicz_means(
     index_base = check_index_base(index_base)
     if method == "multiplier":
         mean = _mean_on_quotient(forward(f).coefficients, f.structure, n, index_base)
-        reps = f.structure.size // len(mean)
-        return SampledFunction(f.structure, np.tile(mean, (reps, reps)))
+        return SampledFunction(f.structure, _lift(mean, f.structure.size))
     if method == "direct":
         spectrum = forward(f)
         sums = (_masked_partial_sum(spectrum, j, j).values for j in range(index_base, n + index_base))

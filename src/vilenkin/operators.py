@@ -60,8 +60,8 @@ kernels, paired from the end of the list, take one convolution on the
 finer of their quotients.  Components 1-2 of an order then share one call
 and components 3-4 another, and the L summed kernels of ``v_sup_grid`` take
 ceil(L/2).  A complex sample takes one call per part of m.  Sups over the
-orders stay on the current quotient and are tiled up (``_lift``) only as K
-grows.  The verbatim per-point route is ``oracles.v_component``.
+orders stay on the current quotient and are tiled up (``sampled._lift``)
+only as K grows.  The verbatim per-point route is ``oracles.v_component``.
 
 Shift positions beyond the truncation depth (the s = L boundary terms at
 order L) are dropped; for grid-resolved functions those terms integrate a
@@ -80,8 +80,8 @@ import numpy as np
 
 from .group import GroupStructure, check_int
 from .kernels import check_index_base, r_factor, r_factor_table
-from .means import _mean_on_quotient, marcinkiewicz_means
-from .sampled import SampledFunction, require_arity
+from .means import _mean_on_quotient
+from .sampled import SampledFunction, _lift, require_arity
 from .transform import convolve, forward
 
 
@@ -244,10 +244,15 @@ def means_error(
     majorant vanishes, so the pair is reported rather than asserted against
     each other.
     """
+    require_arity(f, 2, "means_error")
     structure = f.structure
+    n = check_int("mean order", n, 1, structure.size)
+    index_base = check_index_base(index_base)
     structure.check_points(x, y)
-    sigma = marcinkiewicz_means(f, n, "multiplier", index_base)
-    error = float(abs(sigma.values[x, y] - f.values[x, y]))
+    # sigma_n f lives on G/I_P, M_P >= n, and is read at (x mod M_P, y mod M_P)
+    sigma = _mean_on_quotient(forward(f).coefficients, structure, n, index_base)
+    order = len(sigma)
+    error = float(abs(sigma[x % order, y % order] - f.values[x, y]))
     A = structure.index_order(n)
     # one gather of |f - f(x, y)| serves every order
     w = _w_values(f, x, y, range(A + 1))
@@ -324,12 +329,6 @@ def _coset_means(f: SampledFunction, period: int) -> np.ndarray:
     indexed by the digits below K."""
     reps = f.structure.size // period
     return f.values.reshape(reps, period, reps, period).mean(axis=(0, 2))
-
-
-def _lift(grid: np.ndarray, size: int) -> np.ndarray:
-    """A function on G/I_K, given on its M_K x M_K square, on a grid of side ``size``."""
-    reps = size // grid.shape[0]
-    return grid if reps == 1 else np.tile(grid, (reps, reps))
 
 
 def _v_grids(f: SampledFunction, kernels: Sequence[tuple[int, Sequence[int]]]):

@@ -1,7 +1,9 @@
-"""Grid-sampled functions and spectra, Haar integration and L^p norms.
+"""Grid-sampled functions and spectra, L^p norms, and ``_lift``, the one
+tiling of a function on a quotient G/I_K up to the grid.
 
 A 1-D sample holds M_L complex values in mixed-radix linear order (digit 0
-fastest); a 2-D sample holds an (M_L, M_L) array indexed [x, y].
+fastest); a 2-D sample holds an (M_L, M_L) array indexed [x, y].  Its
+integral against normalized Haar measure is ``f.values.mean()``.
 """
 
 from __future__ import annotations
@@ -79,9 +81,10 @@ def require_same_structure(a, b) -> None:
         raise ValueError("structure-mismatch: operands have different arity")
 
 
-def haar_integrate(f: SampledFunction) -> complex:
-    """Integral against normalized Haar measure: the mean of the samples."""
-    return complex(f.values.mean())
+def _lift(grid: np.ndarray, size: int) -> np.ndarray:
+    """A function on G/I_K, given on its M_K x M_K square, on a grid of side ``size``."""
+    reps = size // grid.shape[0]
+    return grid if reps == 1 else np.tile(grid, (reps, reps))
 
 
 def require_arity(f: SampledFunction, arity: int, name: str) -> None:

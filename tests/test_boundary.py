@@ -34,7 +34,6 @@ from vilenkin import (
     partial_sum_2d,
     r_factor,
     r_factor_table,
-    rademacher,
     scale_sum_majorant,
     sigma_multiplier,
     v_component,
@@ -42,7 +41,7 @@ from vilenkin import (
     vilenkin,
     w_operator_2d,
 )
-from vilenkin.group import check_int, check_real
+from vilenkin.group import check_bool, check_int, check_real
 from vilenkin.operators import v_kernel_table
 
 from conftest import random_sample
@@ -70,7 +69,6 @@ ENTRIES = {
     "interval_indices depth": ("interval depth", lambda v: S.interval_indices(v, 0), 3, 2),
     "interval_indices center": ("point index", lambda v: S.interval_indices(1, v), 6, 5),
     "quotient": ("quotient depth", lambda v: S.quotient(v), 0, 1),
-    "rademacher": ("coordinate", lambda v: rademacher(S, v, 0), 2, 1),
     "vilenkin": ("index-overflow: index", lambda v: vilenkin(S, v, 0), 6, 5),
     "dirichlet_table": ("kernel order", lambda v: dirichlet_table(S, v), 7, 6),
     "block_dirichlet": ("block level", lambda v: block_dirichlet(S, v, 0), 3, 2),
@@ -204,6 +202,33 @@ def test_check_real_returns_a_float_and_leaves_ranges_and_nan_to_the_caller():
     ):
         with pytest.raises(ValueError, match=re.escape(message)):
             check_real("x", bad)
+
+
+# (the flag's entry, called with the value)
+FLAG_ENTRIES = {
+    "estimate_scan": lambda v: estimate_scan(S, "est1", include_diagonal_shift=v),
+    "block_shift_majorant": lambda v: block_shift_majorant(S, 1, 0, include_diagonal_shift=v),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(FLAG_ENTRIES))
+def test_each_flag_takes_a_bool_and_names_anything_else(entry):
+    # "no" once ran est1 with the diagonal shift and 0 or None without it
+    call = FLAG_ENTRIES[entry]
+    for bad in ("no", 0, None, 1.0):
+        with pytest.raises(ValueError, match=r"^include_diagonal_shift .* is not a bool$"):
+            call(bad)
+    for good in (True, False, np.True_, np.False_):
+        call(good)
+
+
+def test_check_bool_returns_a_python_bool_and_names_what_it_rejects():
+    for value in (True, np.False_):
+        got = check_bool("flag", value)
+        assert got == bool(value) and type(got) is bool
+    for bad, message in (("no", "flag 'no' is not a bool"), (1, "flag 1 is not a bool")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            check_bool("flag", bad)
 
 
 def test_marcinkiewicz_means_of_a_fractional_order_are_refused_on_every_route():

@@ -10,8 +10,7 @@ from vilenkin import (
     dirichlet_shift,
     dirichlet_table,
     make_structure,
-    rademacher,
-    rademacher_power_sum,
+    r_factor,
     vilenkin,
     vilenkin_column,
 )
@@ -20,20 +19,20 @@ from conftest import oracle_dirichlet, oracle_psi
 
 
 def test_rademacher_values():
+    # r_k = psi_{M_k}, the character at the order of level k
     s = make_structure((2, 3))
-    assert rademacher(s, 0, 0) == pytest.approx(1.0)
-    assert rademacher(s, 0, s.from_digits((1, 0))) == pytest.approx(-1.0)
-    third = rademacher(s, 1, s.from_digits((0, 1)))
+    assert vilenkin(s, s.orders[0], 0) == pytest.approx(1.0)
+    assert vilenkin(s, s.orders[0], s.from_digits((1, 0))) == pytest.approx(-1.0)
+    third = vilenkin(s, s.orders[1], s.from_digits((0, 1)))
     assert third == pytest.approx(complex(-0.5, 0.8660254037844387))
-    with pytest.raises(ValueError):
-        rademacher(s, 2, 0)
 
 
 def test_rademacher_power_sum_collapses():
+    # sum_{i<m_n} r_n(x)^i is the one-factor coupling product r_{n,n}(x, 0)
     s = make_structure((2, 3))
-    assert rademacher_power_sum(s, 1, 0) == pytest.approx(3.0)
-    assert abs(rademacher_power_sum(s, 1, s.from_digits((0, 1)))) < 1e-12
-    assert abs(rademacher_power_sum(s, 0, s.from_digits((1, 0)))) < 1e-12
+    assert r_factor(s, 1, 1, 0, 0) == pytest.approx(3.0)
+    assert abs(r_factor(s, 1, 1, s.from_digits((0, 1)), 0)) < 1e-12
+    assert abs(r_factor(s, 0, 0, s.from_digits((1, 0)), 0)) < 1e-12
 
 
 def test_power_sum_exhaustive():
@@ -41,7 +40,7 @@ def test_power_sum_exhaustive():
     for k in range(s.depth):
         for x in range(s.size):
             expected = s.radices[k] if s.digits(x)[k] == 0 else 0.0
-            assert rademacher_power_sum(s, k, x) == pytest.approx(expected, abs=1e-12)
+            assert r_factor(s, k, k, x, 0) == pytest.approx(expected, abs=1e-12)
 
 
 def test_vilenkin_values():

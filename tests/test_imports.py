@@ -3,8 +3,9 @@ top, and every private function or class it defines is read somewhere in the
 package.  The reference routes live in ``oracles`` apart from the routes they
 check, every public name is read by the package or kept on purpose, every
 integer range is checked in ``group``, the test-function catalog converts
-its string parameters in one place, only the CLI reads or writes CSV, and
-only ``means`` applies the mean's spectral multiplier."""
+its string parameters in one place, only the CLI reads or writes CSV, only
+``means`` applies the mean's spectral multiplier, and only ``sampled`` tiles
+a quotient's function up to the grid."""
 
 import ast
 from pathlib import Path
@@ -17,18 +18,12 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "vilenkin"
 LIBRARY_ONLY = {
     # the 1-D Fejer means, the one-dimensional case of the Marcinkiewicz means
     "fejer_means_1d",
-    # the normalized Haar integral every mean and L^p norm is taken against
-    "haar_integrate",
     # the H_p quasinorm that the p-atoms are normalized in
     "hardy_quasinorm",
     # |sigma_n f - f| at one point and order next to its majorant, for any n
     "means_error",
     # the rectangular partial sums S_{M,N} whose averages the means are
     "partial_sum_2d",
-    # the generators r_k whose products are the Vilenkin characters
-    "rademacher",
-    # the one-factor coupling product r_{n,n}(x, 0) of the W kernel
-    "rademacher_power_sum",
 }
 
 
@@ -139,6 +134,12 @@ def test_only_the_means_module_reads_the_sigma_multiplier():
         name for name, source in sources().items() if "sigma_multiplier" in names_read(source)
     }
     assert readers == {"means.py"}
+
+
+def test_only_the_sampled_module_reads_tile():
+    # a function on a quotient G/I_K reaches the grid through sampled._lift
+    readers = {name for name, source in sources().items() if "tile" in names_read(source)}
+    assert readers == {"sampled.py"}
 
 
 def test_every_private_definition_is_read_by_the_package():

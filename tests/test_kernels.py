@@ -24,7 +24,7 @@ from vilenkin import (
     vilenkin,
 )
 from vilenkin import kernels
-from vilenkin.kernels import _fejer_sum_blocks, _kernel_sums, _shift_block_sum
+from vilenkin.kernels import _dirichlet_blocks, _dirichlet_stack, _shift_block_sum
 
 from conftest import oracle_dirichlet
 
@@ -319,24 +319,48 @@ def _rebuilt_rows(s, estimate, tol=1e-9):
     return rows
 
 
+def _walked_sums(s):
+    """(n, sum_{k<n} D_k (x) D_k) for n = 1 .. M_L - 1, added row by row from
+    the walk's blocks as the lemma2 scan adds them."""
+    total = np.zeros((s.size,) * 2, dtype=np.complex128)
+    for orders, block in _dirichlet_blocks(s):
+        for n, row in zip(orders.tolist(), block[1:]):
+            total += np.multiply.outer(row, row)
+            yield n, total
+
+
 @pytest.mark.parametrize(
     "radices, depth",
-    [((2, 3), 3), ((2, 3), 4), ((2, 3), 5), ((3, 2, 5), None), ((2,), 6), ((5, 5), None)],
+    [
+        ((2, 3), 3),
+        ((2, 3), 4),
+        ((2, 3), 5),
+        ((3, 2, 5), None),
+        ((2,), 6),
+        ((5, 5), None),
+        ((3, 2), 3),
+        ((5,), 2),
+        ((4, 3), 2),
+    ],
 )
 def test_kernel_walk_equals_the_rebuilt_kernels(radices, depth):
-    # the 1-D block walk adds the kernel's rows in its order, so its left
-    # sides, taken as the scan takes them, are the kernel's to the last bit;
-    # the 2-D einsum groups its terms otherwise, so grid values agree to a
-    # relative 1e-15 and the rows are equal here
+    # the walk's rows are the rebuilt kernels' rows D_{n-1} to the last bit,
+    # and added one at a time, as the 1-D scans add them, they give the
+    # kernel's left sides to the last bit; the 2-D einsum groups its terms
+    # otherwise, so grid values agree to a relative 1e-15 and the rows are
+    # equal here
     s = make_structure(radices, depth)
+    stack = _dirichlet_stack(s, s.size)
     walked = []
-    for orders, sums in _fejer_sum_blocks(s):
-        n = orders[:, None]
-        for order, lhs in zip(orders.tolist(), n * np.abs(sums / n)):
-            assert np.array_equal(lhs, order * np.abs(fejer_kernel_1d(s, order))), order
-            walked.append(order)
+    total = np.zeros(s.size, dtype=np.complex128)
+    for orders, block in _dirichlet_blocks(s):
+        assert np.array_equal(block[1:], stack[orders - 1]), orders
+        for n, row in zip(orders.tolist(), block[1:]):
+            total = total + row
+            assert np.array_equal(n * np.abs(total / n), n * np.abs(fejer_kernel_1d(s, n))), n
+        walked += orders.tolist()
     assert walked == list(range(1, s.size))
-    for n, total in _kernel_sums(s):
+    for n, total in _walked_sums(s):
         oracle = n * np.abs(marcinkiewicz_kernel(s, n))
         assert np.abs(n * np.abs(total / n) - oracle).max() <= 1e-15 * oracle.max(), n
     for estimate in ("est2", "fejer", "lemma2"):
@@ -349,10 +373,26 @@ def test_kernel_walk_at_depth_six_agrees_with_the_rebuilt_kernel():
     # the grid's largest value at the first and last order of every level
     s = make_structure((2, 3), 6)
     ends = {n for A in range(s.depth) for n in (s.orders[A], s.orders[A + 1] - 1)}
-    for n, total in _kernel_sums(s):
+    for n, total in _walked_sums(s):
         if n in ends:
             oracle = n * np.abs(marcinkiewicz_kernel(s, n))
             assert np.abs(n * np.abs(total / n) - oracle).max() <= 1e-15 * oracle.max(), n
+
+
+def test_est2_fejer_and_lemma2_each_make_one_walk_and_est1_none(monkeypatch):
+    walks = []
+    walk = kernels._dirichlet_blocks
+
+    def counted(structure):
+        walks.append(structure)
+        return walk(structure)
+
+    monkeypatch.setattr(kernels, "_dirichlet_blocks", counted)
+    s = make_structure((2, 3), 4)
+    for estimate, expected in (("est1", 0), ("est2", 1), ("fejer", 1), ("lemma2", 1)):
+        walks.clear()
+        estimate_scan(s, estimate)
+        assert len(walks) == expected, estimate
 
 
 @pytest.mark.parametrize("radices, depth", [((2, 3), 3), ((3,), 3), ((3, 2, 5), None)])
@@ -467,10 +507,12 @@ def test_a_level_over_several_blocks_gives_the_rows_of_one_block(monkeypatch, ro
     # (2,3) depth 4 has levels of 1, 4, 6 and 24 orders: 5 and 7 rows divide
     # none of the last two, 2 divides both
     s = make_structure((2, 3), 4)
-    whole = {estimate: estimate_scan(s, estimate).per_order for estimate in ("est2", "fejer")}
+    whole = {
+        estimate: estimate_scan(s, estimate).per_order for estimate in ("est2", "fejer", "lemma2")
+    }
     bound = (rows + 1) * 16 * s.size  # a block also holds the carried row
     monkeypatch.setattr(kernels, "WALK_BLOCK_BYTES", bound)
-    blocks = [orders.tolist() for orders, _ in _fejer_sum_blocks(s)]
+    blocks = [orders.tolist() for orders, _ in _dirichlet_blocks(s)]
     assert max(map(len, blocks)) == rows
     assert [n for block in blocks for n in block] == list(range(1, s.size))
     # no block straddles a level

@@ -434,8 +434,8 @@ def test_point_indices_out_of_range_rejected(rng):
         # the evaluators that take index arrays reject a bad index inside one too
         for point in (bad, np.array([0, bad])):
             calls += [
-                lambda point=point: vilenkin.rademacher(s, 0, point),
-                lambda point=point: vilenkin.rademacher_power_sum(s, 0, point),
+                lambda point=point: vilenkin.vilenkin(s, s.orders[0], point),
+                lambda point=point: vilenkin.r_factor(s, 0, 0, point, 0),
                 lambda point=point: vilenkin.vilenkin(s, 1, point),
                 lambda point=point: vilenkin.dirichlet(s, 2, point),
                 lambda point=point: vilenkin.dirichlet_shift(s, 0, 1, 1, point),
@@ -463,7 +463,7 @@ def test_point_indices_out_of_range_rejected(rng):
     for call in (
         lambda: lebesgue_reports(f, [(1.5, 2)]),
         lambda: w_sequence(f, 1.0, 2),
-        lambda: vilenkin.rademacher(s, 0, np.array([0.0, 1.0])),
+        lambda: vilenkin.vilenkin(s, s.orders[0], np.array([0.0, 1.0])),
     ):
         with pytest.raises(ValueError, match="point index"):
             call()
@@ -487,6 +487,7 @@ def test_two_dimensional_operators_reject_a_1d_sample(rng):
         "lebesgue_reports": lambda: lebesgue_reports(f1, [(0, 0)]),
         "partial_sum_2d": lambda: means.partial_sum_2d(f1, 1, 1),
         "marcinkiewicz_means": lambda: marcinkiewicz_means(f1, 2),
+        "means_error": lambda: vilenkin.means_error(f1, 2, 0, 0),
         "weak_type_check": lambda: vilenkin.weak_type_check(f1),
         "v_maximal": lambda: v_maximal(f1, 0, 0),
         "hardy_quasinorm": lambda: vilenkin.hardy_quasinorm(f1, 1.0),
