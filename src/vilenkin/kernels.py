@@ -440,6 +440,8 @@ def estimate_scan(
     Every majorant takes its shifted block kernels in closed form
     (``_shift_block_sum``), with no digit arithmetic.
     """
+    if estimate not in ESTIMATE_IDS:
+        raise ValueError(f"unknown estimate id {estimate!r}")
     tol = check_real("tol", tol)
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
@@ -467,7 +469,7 @@ def estimate_scan(
             total = block[-1].copy()
             n = orders[:, None]
             report.per_order += rows(orders, n * np.abs(block[1:] / n))
-    elif estimate == "lemma2":
+    else:  # lemma2
         grid = (xs[:, None], xs[None, :])
         total = np.zeros((structure.size,) * 2, dtype=np.complex128)
         for orders, block in _dirichlet_blocks(structure):
@@ -477,6 +479,4 @@ def estimate_scan(
                     rows = _ratio_rows(kernel_majorant_2d(structure, n, *grid), tol)
                 total += np.multiply.outer(dirichlet, dirichlet)
                 report.per_order += rows([n], (n * np.abs(total / n)).reshape(1, -1))
-    else:
-        raise ValueError(f"unknown estimate id {estimate!r}")
     return report

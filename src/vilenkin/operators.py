@@ -5,13 +5,27 @@ The 2-D operator W_j has four sums: two r-weighted sums over coset pairs
 I_k x I_k(shift), with the coupling factor read from the product of
 Rademacher power sums, and two boundary sums over I_j x I_i(shift) pairs.
 No weight depends on the point, so each order's
-sums are folded once into a stored kernel K_j, and W_j(x, y) is the dot of
-K_j with |f(x - t, y - u) - f(x, y)| gathered once per point.  K_j has
-period M_{min(j+1,L)}, so the dot reads the gather's sums over the cosets
-of that level; they are taken fine to coarse, each level's sums from the
-level above, so a point's whole W sequence costs about (4/3) M_L^2 reads
-at radix 2 rather than L M_L^2.  ``_w_values`` is the one W route, for a
-point or a batch.
+sums are folded once into a kernel K_j, and W_j(x, y) is the dot of K_j
+with |f(x - t, y - u) - f(x, y)|.  Two routes evaluate it.
+
+The gather route, ``_w_values``, serves a point or a batch of any sample:
+the differences are gathered once per point and dotted with the stored
+K_j.  K_j has period M_{min(j+1,L)}, so the dot reads the gather's sums
+over the cosets of that level; they are taken fine to coarse, each level's
+sums from the level above, so a point's whole W sequence costs about
+(4/3) M_L^2 reads at radix 2 rather than L M_L^2.
+
+The batch route, ``_w_two_valued``, serves ``lebesgue_reports`` on a sample
+that takes at most two values a, b.  There |f - c| is |b - a| times the
+indicator of f = b or of its complement, a function that no longer depends
+on the point, and since x - t has no carries the sums against K_j are a
+convolution on the quotient G/I_{min(j+1,L)}.  It is read from the
+coefficients the means already take: one synthesis per order, the same
+whatever the batch's size, in place of one M_L^2 gather per point.  The
+route is chosen by the sample's value count, the one property that makes
+the identity hold, and not by the batch size: the gather is the cheaper
+below 4-8 points, but single points have their own entries
+(``w_sequence``, ``w_operator_2d``, ``means_error``), which always gather.
 
 ``means_error`` sets the error of a Marcinkiewicz-Fejer mean at a point
 beside its majorant (1/n) sum_j M_j W_j.  ``lebesgue_reports`` sets each W
@@ -82,7 +96,7 @@ from .group import GroupStructure, check_int
 from .kernels import check_index_base, r_factor, r_factor_table
 from .means import _mean_on_quotient
 from .sampled import SampledFunction, _lift, require_arity
-from .transform import convolve, forward
+from .transform import _chrestenson, convolve, forward
 
 
 # -- shared index helpers -------------------------------------------------------
@@ -107,44 +121,66 @@ def _outer_add(structure: GroupStructure, kt: int, bt: int, ku: int, bu: int) ->
 # -- the oscillation operators ---------------------------------------------------
 
 
-def _w_kernel(structure: GroupStructure, j: int) -> np.ndarray:
-    """One period of K_j, W_j(x, y) = sum_{t,u} K_j(t, u) |f(x-t, y-u) - f(x, y)|.
+def _w_kernel_period(structure: GroupStructure, j: int) -> np.ndarray:
+    """One period of K_j, W_j(x, y) = sum_{t,u} K_j(t, u) |f(x-t, y-u) - f(x, y)|,
+    built afresh.
 
     The u-shifted sums of W are accumulated as written and the t-shifted ones
     are their transpose.  K_j depends only on the digits below min(j + 1, L),
-    so only its leading M_{min(j+1,L)} square is stored.
+    so only its leading M_{min(j+1,L)} square is returned.
+    """
+    size = structure.size
+    everything = np.arange(size)
+    half = np.zeros((size, size))
+    for k in range(j):
+        Mk = structure.orders[k]
+        T = structure.interval_indices(k)
+        # the coupling factor as the product of Rademacher power sums
+        r = r_factor(structure, k + 1, j - 1, 0, everything).real
+        for q in range(k + 1):
+            Mq = structure.orders[q]
+            weight = Mq * Mk**2 / (structure.orders[j] * size**2)
+            level = _shift_level(k, q)
+            for shift in range(1, structure.radices[q]):
+                base = shift * Mq
+                U = structure.interval_indices(level, base)
+                half[np.ix_(T, U)] += weight * r[_outer_add(structure, k, 0, level, base)]
+    T_j = structure.interval_indices(j)
+    for s in range(min(j, structure.depth - 1) + 1):
+        Ms = structure.orders[s]
+        for i in range(s, j + 1):
+            level = _shift_level(i, s)
+            for shift in range(1, structure.radices[s]):
+                U = structure.interval_indices(level, shift * Ms)
+                half[np.ix_(T_j, U)] += Ms * structure.orders[i] / size**2
+    period = structure.orders[min(j + 1, structure.depth)]
+    corner = half[:period, :period]
+    return corner + corner.T
+
+
+def _w_kernel(structure: GroupStructure, j: int) -> np.ndarray:
+    """The period of K_j stored on the structure, for the gather route."""
+    return structure.table(("w_kernel", j), lambda: _w_kernel_period(structure, j))
+
+
+def _w_kernel_spectrum(structure: GroupStructure, j: int) -> np.ndarray:
+    """The coefficients of K_j on its quotient G/I_P, P = min(j + 1, L), as
+    float64, stored on the structure in place of K_j's period, which is built
+    for it and not kept.
+
+    K_j is real and even, K_j(-t, -u) = K_j(t, u): its shifted cosets come
+    with their negatives and its r weights are real parts.  So its analysis
+    is its synthesis with the Haar weight, and real; the synthesis reads the
+    blocks the means' inverses store on every quotient, and its imaginary
+    part, rounding alone, is dropped.
     """
 
     def build() -> np.ndarray:
-        size = structure.size
-        everything = np.arange(size)
-        half = np.zeros((size, size))
-        for k in range(j):
-            Mk = structure.orders[k]
-            T = structure.interval_indices(k)
-            # the coupling factor as the product of Rademacher power sums
-            r = r_factor(structure, k + 1, j - 1, 0, everything).real
-            for q in range(k + 1):
-                Mq = structure.orders[q]
-                weight = Mq * Mk**2 / (structure.orders[j] * size**2)
-                level = _shift_level(k, q)
-                for shift in range(1, structure.radices[q]):
-                    base = shift * Mq
-                    U = structure.interval_indices(level, base)
-                    half[np.ix_(T, U)] += weight * r[_outer_add(structure, k, 0, level, base)]
-        T_j = structure.interval_indices(j)
-        for s in range(min(j, structure.depth - 1) + 1):
-            Ms = structure.orders[s]
-            for i in range(s, j + 1):
-                level = _shift_level(i, s)
-                for shift in range(1, structure.radices[s]):
-                    U = structure.interval_indices(level, shift * Ms)
-                    half[np.ix_(T_j, U)] += Ms * structure.orders[i] / size**2
-        period = structure.orders[min(j + 1, structure.depth)]
-        corner = half[:period, :period]
-        return corner + corner.T
+        quotient = structure.quotient(min(j + 1, structure.depth))
+        kernel = _w_kernel_period(structure, j)
+        return _chrestenson(kernel, quotient, 1).real / quotient.size**2
 
-    return structure.table(("w_kernel", j), build)
+    return structure.table(("w_spectrum", j), build)
 
 
 def _translations(structure: GroupStructure, xs):
@@ -215,6 +251,51 @@ def _w_values(f: SampledFunction, xs, ys, orders) -> np.ndarray:
             w[j] = np.vdot(kernel, sums)
         out[row] = [w[j] for j in orders]
     return out.reshape(xs.shape + (len(orders),))
+
+
+def _two_values(values: np.ndarray):
+    """(a, b) when ``values`` take no value but a and b, with b = a when they
+    are constant; None when they take three or more.  Three passes."""
+    a = values.flat[0]
+    other = values != a
+    b = values.flat[other.argmax()]
+    other &= values != b
+    return None if other.any() else (a, b)
+
+
+def _w_two_valued(f: SampledFunction, coeffs: np.ndarray, a, b, xs, ys) -> np.ndarray:
+    """W_1..W_L at arrays of points of a sample that takes only the values a
+    and b, from its 2-D coefficients ``coeffs``: shape ``(points, L)``.
+
+    |f - c| is |b - a| 1_{f != c}, and 1_{f = b} = (f - a) / (b - a) has the
+    coefficients (coeffs - a delta) / (b - a).  K_j has period M_P,
+    P = min(j + 1, L), and x - t has no carries, so sum_{t,u} K_j(t, u)
+    1_{f=b}(x - t, y - u) is a convolution on G/I_P read at (x mod M_P,
+    y mod M_P): M_L^2 times the synthesis of the product of the leading
+    M_P x M_P coefficients with K_j's (``_w_kernel_spectrum``).  W_j is
+    |b - a| times that sum where f(x, y) = a, and |b - a| times (sum K_j less
+    that sum) where f(x, y) = b, sum K_j being M_L^2 times K_j's coefficient
+    at 0.  A constant sample has W = 0.  Real coefficients and values are
+    read as float64, so a Walsh structure synthesizes in float64.
+    """
+    structure = f.structure
+    out = np.zeros((len(xs), structure.depth))
+    if a == b:
+        return out
+    if not (coeffs.imag.any() or a.imag or b.imag):
+        coeffs, a, b = coeffs.real, a.real, b.real
+    weight = abs(b - a) * structure.size**2
+    on_b = f.values[xs, ys] == b
+    for j in range(1, structure.depth + 1):
+        quotient = structure.quotient(min(j + 1, structure.depth))
+        order = quotient.size
+        spectrum = _w_kernel_spectrum(structure, j)
+        block = coeffs[:order, :order] * spectrum
+        block[0, 0] -= a * spectrum[0, 0]
+        block *= weight / (b - a)
+        w = _chrestenson(block, quotient, 1)[xs % order, ys % order].real
+        out[:, j - 1] = np.where(on_b, weight * spectrum[0, 0] - w, w)
+    return out
 
 
 def w_operator_2d(f: SampledFunction, x: int, y: int, j: int) -> float:
@@ -463,14 +544,24 @@ def lebesgue_reports(
     The mean of order M_j is the multiplier route of ``marcinkiewicz_means``,
     ``means._mean_on_quotient``, applied to that transform: sigma_{M_j} f is a
     function on the quotient G/I_j, one M_j x M_j inverse, read at
-    (x mod M_j, y mod M_j).  W_1..W_L come from one ``_w_values`` call for
-    the whole batch: one gather per point, summed over the cosets fine to
-    coarse.
+    (x mod M_j, y mod M_j).
+
+    W_1..W_L come for the whole batch from one of two routes, chosen by the
+    sample's value count, checked exactly.  A sample of at most two values
+    takes ``_w_two_valued``: the same transform, one synthesis per order on
+    its quotient, read at the points, so its cost does not grow with the
+    batch.  Any other sample takes one ``_w_values`` call: one gather per
+    point, summed over the cosets fine to coarse.  The batch size does not
+    choose: the two-valued route is the cheaper from 4-8 points up, and the
+    value count, not the size, is what makes it hold.
     """
     require_arity(f, 2, "lebesgue_reports")
     index_base = check_index_base(index_base)
     structure = f.structure
-    pairs = np.asarray(points)
+    try:
+        pairs = np.asarray(points)
+    except ValueError:
+        raise ValueError("points must be (x, y) pairs, got a ragged sequence") from None
     if pairs.size == 0:
         return []
     if pairs.ndim != 2 or pairs.shape[1] != 2:
@@ -484,10 +575,19 @@ def lebesgue_reports(
         order = structure.orders[j]
         mean = _mean_on_quotient(coeffs, structure, order, index_base)
         sigma_errors[j - 1] = np.abs(mean[xs % order, ys % order] - f.values[xs, ys])
-    w = _w_values(f, xs, ys, range(1, structure.depth + 1)).tolist()
+    pair = _two_values(f.values)
+    if pair is None:
+        w = _w_values(f, xs, ys, range(1, structure.depth + 1))
+    else:
+        w = _w_two_valued(f, coeffs, *pair, xs, ys)
     digits = structure.digit_table
     rows = zip(
-        xs.tolist(), ys.tolist(), digits[xs].tolist(), digits[ys].tolist(), w, sigma_errors.T.tolist()
+        xs.tolist(),
+        ys.tolist(),
+        digits[xs].tolist(),
+        digits[ys].tolist(),
+        w.tolist(),
+        sigma_errors.T.tolist(),
     )
     return [
         LebesgueReport(

@@ -222,6 +222,17 @@ def test_each_flag_takes_a_bool_and_names_anything_else(entry):
         call(good)
 
 
+def test_estimate_scan_names_an_unknown_estimate_before_its_options():
+    # the flag's and tol's messages once came first and named no estimate id
+    s = make_structure((2, 3), 3)
+    for call in (
+        lambda: estimate_scan(s, "bogus", include_diagonal_shift=False),
+        lambda: estimate_scan(s, "bogus", tol=-1),
+    ):
+        with pytest.raises(ValueError, match=r"^unknown estimate id 'bogus'$"):
+            call()
+
+
 def test_check_bool_returns_a_python_bool_and_names_what_it_rejects():
     for value in (True, np.False_):
         got = check_bool("flag", value)

@@ -379,6 +379,98 @@ def test_lebesgue_reports_call_w_values_once_per_batch(monkeypatch, rng):
     assert reports[0][1] == reports[0][2]
 
 
+def _two_valued_samples(s, rng):
+    """The two-valued samples the batch route takes, and a constant one."""
+    mask = rng.random((s.size, s.size)) < 0.4
+    return {
+        "indicator": vilenkin.build_test_function(s, "indicator"),
+        "jump": vilenkin.build_test_function(s, "jump", theta=1.0 / 3.0),
+        "complex": SampledFunction(s, np.where(mask, 2 - 1j, 0.5j)),
+        "constant": SampledFunction(s, np.full((s.size, s.size), -2.0 + 0.5j)),
+    }
+
+
+def _points_on_both_values(f):
+    """_batch's points, with a repeat, and two points on each value of f."""
+    xs, ys = _batch(f.structure)
+    values = f.values
+    for mask in (values == values.flat[0], values != values.flat[0]):
+        x, y = np.nonzero(mask)
+        xs, ys = np.append(xs, x[[0, -1]]), np.append(ys, y[[0, -1]])
+    return list(zip(xs.tolist(), ys.tolist()))
+
+
+@pytest.mark.parametrize("radices, depth", [((2,), 6), ((2, 3), 4), ((3, 2), 3), ((3, 2, 5), None)])
+def test_two_valued_batch_w_equals_the_gather_route(rng, radices, depth):
+    s = make_structure(radices, depth)
+    for name, f in _two_valued_samples(s, rng).items():
+        points = _points_on_both_values(f) if name != "constant" else list(zip(*_batch(s)))
+        xs, ys = np.array(points).T
+        got = np.array([report.w_values for report in lebesgue_reports(f, points)])
+        want = operators._w_values(f, xs, ys, range(1, s.depth + 1))
+        if name == "constant":
+            assert not got.any()
+        else:
+            assert len(set(f.values[xs, ys].tolist())) == 2
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
+def test_only_a_sample_of_three_or_more_values_takes_the_gather(monkeypatch, rng):
+    s = make_structure((2, 3), 4)
+    points = list(zip(*_batch(s)))
+
+    def refused(*args):
+        raise AssertionError("gathered")
+
+    monkeypatch.setattr(operators, "_w_values", refused)
+    for f in _two_valued_samples(s, rng).values():
+        lebesgue_reports(f, points)
+    # one third value, at the last point, sends the batch to the gather
+    values = vilenkin.build_test_function(s, "indicator").values.copy()
+    values[-1, -1] = 0.5
+    with pytest.raises(AssertionError, match="gathered"):
+        lebesgue_reports(SampledFunction(s, values), points)
+
+
+def test_two_valued_batch_takes_one_forward(monkeypatch, rng):
+    s = make_structure((2, 3), 4)
+    f = _two_valued_samples(s, rng)["complex"]
+    points = _points_on_both_values(f)
+    lebesgue_reports(f, points)
+    calls = []
+
+    def counted(g, _forward=transform.forward):
+        calls.append(g)
+        return _forward(g)
+
+    # every namespace that binds forward, so no call escapes the count
+    for module in (transform, operators, means, vilenkin):
+        monkeypatch.setattr(module, "forward", counted)
+    lebesgue_reports(f, points)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("radices, depth", [((2,), 6), ((2, 3), 4)])
+def test_two_valued_batch_stores_the_bytes_of_the_gather(rng, radices, depth):
+    stats = []
+    for f in (
+        vilenkin.build_test_function(make_structure(radices, depth), "jump"),
+        random_sample(make_structure(radices, depth), rng),
+    ):
+        lebesgue_reports(f, list(zip(*_batch(f.structure))))
+        stats.append((f.structure.table_stats(), f.structure._store.tables))
+    (batch, batch_tables), (gather, gather_tables) = stats
+    assert (batch["tables"], batch["bytes"]) == (gather["tables"], gather["bytes"])
+    # each K_j's coefficients are stored in place of its period, in as many bytes
+    spectra = {key[1]: table for key, table in batch_tables.items() if key[0] == "w_spectrum"}
+    kernels = {key[1]: table for key, table in gather_tables.items() if key[0] == "w_kernel"}
+    assert not any(key[0] == "w_kernel" for key in batch_tables)
+    assert sorted(spectra) == sorted(kernels)
+    for j, spectrum in spectra.items():
+        assert spectrum.dtype == np.float64 and spectrum.base is None
+        assert spectrum.shape == kernels[j].shape
+
+
 @pytest.mark.parametrize(
     "radices, depth",
     [((2,), 8), ((2, 3), 6), ((3, 2, 5), None), ((67,), None), ((2, 67), None), ((3,), 1)],
@@ -467,8 +559,8 @@ def test_point_indices_out_of_range_rejected(rng):
     ):
         with pytest.raises(ValueError, match="point index"):
             call()
-    for points in ([(1, 2, 3)], [1, 2]):
-        with pytest.raises(ValueError, match="pairs"):
+    for points in ([(1, 2, 3)], [1, 2], [(1, 2), (3,)]):
+        with pytest.raises(ValueError, match="^points must be"):
             lebesgue_reports(f, points)
 
 
