@@ -87,6 +87,22 @@ def check_bool(name: str, value) -> bool:
     raise ValueError(f"{name} {value!r} is not a bool")
 
 
+def _index_array(indices) -> np.ndarray:
+    """Point indices as an array, for ``check_points`` to test.
+
+    numpy reads a bool among integers as 0 or 1 (``np.asarray([True, 2])`` is
+    int64), so a list or tuple that holds a bool is refused here, naming it.
+    An ndarray is taken as it is: its dtype alone says whether it holds
+    integers, so a batch of points is not scanned element by element.
+    """
+    array = np.asarray(indices)
+    if isinstance(indices, (list, tuple)) and array.dtype.kind in "iu":
+        for value in np.asarray(indices, dtype=object).flat:
+            if isinstance(value, (bool, np.bool_)):
+                raise ValueError(f"point index {value} is not an integer")
+    return array
+
+
 class _TableStore:
     """Read-only tables under one byte budget, with lookup counters."""
 
@@ -196,7 +212,8 @@ class GroupStructure:
 
     def check_points(self, *indices) -> None:
         """Reject any point index, scalar or inside an array, that is not an
-        integer in [0, M_L).
+        integer in [0, M_L): a bool is refused alone, in a bool array, or in
+        a list or tuple (``_index_array``).
 
         The digit tables would wrap a negative index without error, so every
         evaluator at points calls this before reading them, or reads them only
@@ -204,7 +221,7 @@ class GroupStructure:
         it themselves.
         """
         for i in indices:
-            i = np.asarray(i)
+            i = _index_array(i)
             if i.dtype.kind not in "iu":
                 raise ValueError(f"point index of dtype {i.dtype} is not an integer")
             bad = i[(i < 0) | (i >= self.size)]
@@ -219,7 +236,7 @@ class GroupStructure:
         dx = self.digit_table[np.asarray(x)]
         dy = self.digit_table[np.asarray(y)]
         out = self._pack((dx + dy) % np.array(self.radices))
-        return out if isinstance(x, np.ndarray) or isinstance(y, np.ndarray) else int(out)
+        return int(out) if out.ndim == 0 else out
 
     def sub(self, x, y):
         """Coordinate-wise modular difference of linear indices."""
@@ -227,14 +244,14 @@ class GroupStructure:
         dx = self.digit_table[np.asarray(x)]
         dy = self.digit_table[np.asarray(y)]
         out = self._pack((dx - dy) % np.array(self.radices))
-        return out if isinstance(x, np.ndarray) or isinstance(y, np.ndarray) else int(out)
+        return int(out) if out.ndim == 0 else out
 
     def _pack(self, digit_rows: np.ndarray) -> np.ndarray:
         return digit_rows @ np.array(self.orders[: self.depth])
 
     def add_outer(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Table of x + y over the cartesian product of two 1-D index arrays."""
-        xs, ys = np.asarray(xs), np.asarray(ys)
+        xs, ys = _index_array(xs), _index_array(ys)
         if xs.ndim != 1 or ys.ndim != 1:
             raise ValueError(f"add_outer takes two 1-D index arrays, not {xs.ndim}-D and {ys.ndim}-D")
         return self.add(xs[:, None], ys[None, :])

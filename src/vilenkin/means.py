@@ -23,7 +23,7 @@ import numpy as np
 from .group import GroupStructure, check_int
 from .kernels import check_index_base, marcinkiewicz_kernel
 from .sampled import SampledFunction, Spectrum, _lift, require_arity
-from .transform import convolve, forward, inverse
+from .transform import _chrestenson, convolve, forward, inverse
 
 _METHODS = ("direct", "multiplier", "kernel")
 
@@ -49,31 +49,35 @@ def sigma_multiplier(structure: GroupStructure, n: int, index_base: int = 0) -> 
     """Spectral multiplier of the order-n mean on coefficient pairs (a, b).
 
     lambda_n(a, b) counts the diagonal partial sums containing (a, b):
-    #{j in [base, n-1+base] : j > max(a, b)} / n.
+    #{j in [base, n-1+base] : j > max(a, b)} / n.  As a function of
+    k = max(a, b) that share, c_k, does not increase, so lambda_n(a, b) =
+    min(c_a, c_b): one outer minimum of c with itself.
     """
     n = check_int("mean order", n, 1, structure.size)
     index_base = check_index_base(index_base)
-    idx = np.arange(structure.size)
-    top = np.maximum.outer(idx, idx)
-    counts = np.clip(n - 1 + index_base - top, 0, n)
-    return counts / n
+    c = np.clip(n - 1 + index_base - np.arange(structure.size), 0, n) / n
+    return np.minimum.outer(c, c)
 
 
 def _mean_on_quotient(coeffs, structure: GroupStructure, n: int, index_base: int) -> np.ndarray:
     """sigma_n f on G/I_P, P >= 1 the least level with M_P >= n, from f's 2-D
     coefficients: lambda_n vanishes outside their leading M_P x M_P block, so it
-    is one inverse of that block, and sigma_n f(x) is its value at x mod M_P."""
+    is one synthesis of that block, and sigma_n f(x) is its value at x mod M_P.
+
+    The grid is the bare synthesis, not a checked ``SampledFunction``: on a
+    Walsh structure a real sample's mean stays float64, and callers read it
+    at their points or wrap it themselves."""
     quotient = structure.quotient(structure.index_order(max(n - 1, 1)) + 1)
     order = quotient.size
     block = coeffs[:order, :order] * sigma_multiplier(quotient, n, index_base)
-    return inverse(Spectrum(quotient, block)).values
+    return _chrestenson(block, quotient, 1)
 
 
 def marcinkiewicz_means(
     f: SampledFunction, n: int, method: str = "multiplier", index_base: int = 0
 ) -> SampledFunction:
     """Order-n Marcinkiewicz-Fejer mean of a 2-D sample by the chosen route; the
-    multiplier route inverts on G/I_P, M_P >= n, and tiles the mean to the grid."""
+    multiplier route synthesizes on G/I_P, M_P >= n, and tiles the mean to the grid."""
     require_arity(f, 2, "marcinkiewicz_means")
     n = check_int("mean order", n, 1, f.structure.size)
     index_base = check_index_base(index_base)

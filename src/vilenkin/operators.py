@@ -171,7 +171,7 @@ def _w_kernel_spectrum(structure: GroupStructure, j: int) -> np.ndarray:
     K_j is real and even, K_j(-t, -u) = K_j(t, u): its shifted cosets come
     with their negatives and its r weights are real parts.  So its analysis
     is its synthesis with the Haar weight, and real; the synthesis reads the
-    blocks the means' inverses store on every quotient, and its imaginary
+    blocks the means' syntheses store on every quotient, and its imaginary
     part, rounding alone, is dropped.
     """
 
@@ -543,7 +543,7 @@ def lebesgue_reports(
 
     The mean of order M_j is the multiplier route of ``marcinkiewicz_means``,
     ``means._mean_on_quotient``, applied to that transform: sigma_{M_j} f is a
-    function on the quotient G/I_j, one M_j x M_j inverse, read at
+    function on the quotient G/I_j, one bare M_j x M_j synthesis, read at
     (x mod M_j, y mod M_j).
 
     W_1..W_L come for the whole batch from one of two routes, chosen by the
@@ -566,8 +566,9 @@ def lebesgue_reports(
         return []
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ValueError(f"points must be (x, y) pairs, got an array of shape {pairs.shape}")
+    # the points as given, so that a bool among them is refused, not read as 0 or 1
+    structure.check_points(points)
     xs, ys = pairs.T
-    structure.check_points(xs, ys)
     coeffs = forward(f).coefficients
     # the mean grids are read at the points only, so none of them is kept
     sigma_errors = np.empty((structure.depth, len(xs)))

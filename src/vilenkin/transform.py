@@ -12,17 +12,23 @@ digits, highest first as they lie in the C layout, into contiguous blocks of
 at most BLOCK_POINTS points and applies each block as one dense Kronecker
 product of small DFT matrices, stored on the structure.  The cut has the
 fewest blocks, and among those the least summed block size, so 256 points
-run as 16 x 16 rather than 64 x 4.  Each contraction turns the block's axis
-to the back, so after one pass over the blocks of every grid axis the layout
-is back in place.  A radix above BLOCK_POINTS is a block by itself and runs
-through numpy's FFT along its one axis.
+run as 16 x 16 rather than 64 x 4.  Each contraction is one BLAS product of
+the transposed (block, rest) view with the block matrix, which reads the view
+in place rather than copying it, and turns the block's axis to the back, so
+after one pass over the blocks of every grid axis the layout is back in
+place.  A radix above BLOCK_POINTS is a block by itself and runs through
+numpy's FFT along its one axis.
 
 A block of radix-2 digits is the real +-1 Hadamard matrix, one table for
 both signs.  On a Walsh structure (every radix 2) a sample whose imaginary
 part is zero everywhere is therefore contracted in float64 throughout;
 complex samples, and every structure with another radix, are contracted in
-complex128.  The naive O(M_L^2) summation route that checks this one, and
-that transform-bench times against it, is ``oracles.naive_forward``.
+complex128.  ``inverse`` wraps the synthesis in a checked, complex
+``SampledFunction``; the package's own syntheses on a quotient (the means
+sigma_n and the two-valued W) call ``_chrestenson`` bare and read its grid at
+their points, so a real Walsh synthesis stays float64.  The naive O(M_L^2)
+summation route that checks this one, and that transform-bench times against
+it, is ``oracles.naive_forward``.
 """
 
 from __future__ import annotations
@@ -84,8 +90,9 @@ def _chrestenson(values: np.ndarray, structure: GroupStructure, sign: int) -> np
 
     Each step contracts the leading block axis of the C-contiguous array and
     appends the result's axis at the back, so the next block comes to the
-    front and every step is one matrix product on a (block, rest) view.  On a
-    Walsh structure a real sample stays float64.
+    front and every step is one matrix product, ``front.T @ block``: BLAS
+    takes the transposed (block, rest) view as it lies, so no operand is
+    copied.  On a Walsh structure a real sample stays float64.
     """
     out = values
     if set(structure.radices) == {2} and not values.imag.any():
@@ -100,7 +107,7 @@ def _chrestenson(values: np.ndarray, structure: GroupStructure, sign: int) -> np
                 out = np.fft.ifft(front.T, axis=1, norm="forward")
             out = np.ascontiguousarray(out)
         else:
-            out = np.tensordot(front, _block_matrix(structure, block, sign), axes=(0, 0))
+            out = front.T @ _block_matrix(structure, block, sign)
     return out.reshape(values.shape)
 
 

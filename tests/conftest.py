@@ -8,6 +8,7 @@ agreement test against the package exercises two genuinely different routes.
 from __future__ import annotations
 
 import cmath
+import sys
 
 import numpy as np
 import pytest
@@ -89,6 +90,26 @@ def translate(f, shift):
         structure,
         f.values[np.ix_(structure.sub(idx, int(ax)), structure.sub(idx, int(ay)))],
     )
+
+
+def count_syntheses(patch):
+    """Count the syntheses (``transform._chrestenson`` with sign > 0): patch it
+    in every package module that binds it, so no call escapes the count, and
+    return the list each call appends its structure's size to."""
+    from vilenkin import transform
+
+    original = transform._chrestenson
+    sizes = []
+
+    def counted(values, structure, sign):
+        if sign > 0:
+            sizes.append(structure.size)
+        return original(values, structure, sign)
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "vilenkin" and getattr(module, "_chrestenson", None) is original:
+            patch.setattr(module, "_chrestenson", counted)
+    return sizes
 
 
 @pytest.fixture

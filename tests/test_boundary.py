@@ -242,6 +242,34 @@ def test_check_bool_returns_a_python_bool_and_names_what_it_rejects():
             check_bool("flag", bad)
 
 
+def test_a_bool_among_point_indices_is_refused_by_name():
+    # numpy reads [True, 2] as the integers [1, 2], so a list or tuple is
+    # scanned for bools where it first becomes an index array
+    cases = (([True, 2], "True"), ((1, np.bool_(False)), "False"), ([[0, 1], [2, True]], "True"))
+    for points, bad in cases:
+        message = f"^point index {bad} is not an integer$"
+        with pytest.raises(ValueError, match=message):
+            S.check_points(points)
+        with pytest.raises(ValueError, match=message):
+            S.add(points, 0)
+        with pytest.raises(ValueError, match=message):
+            S.sub(0, points)
+    with pytest.raises(ValueError, match="^point index True is not an integer$"):
+        S.add_outer([True, 2], [0])
+    for points in ([(True, 2)], ((1, 2), (3, np.bool_(False)))):
+        with pytest.raises(ValueError, match="^point index (True|False) is not an integer$"):
+            lebesgue_reports(F, points)
+    # a lone bool, or an array of bools, fails its dtype test as before
+    for bad in (True, np.array([True, False]), np.array([[1, 0]], dtype=bool)):
+        with pytest.raises(ValueError, match="^point index of dtype bool is not an integer$"):
+            S.check_points(bad)
+    with pytest.raises(ValueError, match="^point index of dtype bool"):
+        lebesgue_reports(F, np.array([[True, False]]))
+    # the integers themselves pass, as a list, a tuple or an array
+    S.check_points([1, 2], (3, 4), np.array([5, 0]))
+    assert len(lebesgue_reports(F, [(1, 2)])) == len(lebesgue_reports(F, np.array([[1, 2]]))) == 1
+
+
 def test_marcinkiewicz_means_of_a_fractional_order_are_refused_on_every_route():
     # a fractional order once gave the multiplier route order 2.7 and the
     # kernel route order 2, so the routes disagreed without a word

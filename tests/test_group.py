@@ -115,6 +115,21 @@ def test_add_sub_examples():
     assert s.digits(s.add(a, a)) == (0, 2)
 
 
+def test_add_and_sub_take_lists_and_tuples_of_points_as_arrays():
+    s = make_structure((2, 3))
+    xs, ys = [1, 2, 5], (3, 4, 0)
+    for op in (s.add, s.sub):
+        want = op(np.array(xs), np.array(ys))
+        np.testing.assert_array_equal(op(xs, ys), want)
+        np.testing.assert_array_equal(op(xs, 0), op(np.array(xs), 0))
+        np.testing.assert_array_equal(op(0, ys), op(0, np.array(ys)))
+        np.testing.assert_array_equal(op([[1, 2], [3, 4]], 1), op(np.array([[1, 2], [3, 4]]), 1))
+        # a scalar result is a Python int, whatever the scalar's type
+        for x, y in ((1, 2), (np.int64(1), 2), (np.array(1), np.array(2))):
+            got = op(x, y)
+            assert type(got) is int and got == op(np.array([1]), np.array([2]))[0]
+
+
 def test_abelian_group_axioms_exhaustive():
     s = make_structure((2, 3, 2))
     elems = range(s.size)

@@ -4,8 +4,9 @@ package.  The reference routes live in ``oracles`` apart from the routes they
 check, every public name is read by the package or kept on purpose, every
 integer range is checked in ``group``, the test-function catalog converts
 its string parameters in one place, only the CLI reads or writes CSV, only
-``means`` applies the mean's spectral multiplier, and only ``sampled`` tiles
-a quotient's function up to the grid."""
+``means`` applies the mean's spectral multiplier, only ``sampled`` tiles
+a quotient's function up to the grid, and only ``oracles`` calls
+``np.tensordot``."""
 
 import ast
 from pathlib import Path
@@ -195,6 +196,29 @@ def test_only_the_group_module_raises_a_range_error():
     texts = sources()
     assert range_raises(texts.pop("group.py"))
     found = {name: lines for name, source in texts.items() if (lines := range_raises(source))}
+    assert found == {}
+
+
+def tensordot_calls(source: str) -> list[int]:
+    """Lines that call ``tensordot`` (as ``np.tensordot`` or bare)."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and (
+            (isinstance(node.func, ast.Attribute) and node.func.attr == "tensordot")
+            or (isinstance(node.func, ast.Name) and node.func.id == "tensordot")
+        )
+    ]
+
+
+def test_only_the_oracles_call_tensordot():
+    # tensordot copies its transposed operand; the blocked transform takes
+    # each digit block as one product on the transposed view, which BLAS
+    # reads in place
+    texts = sources()
+    assert tensordot_calls(texts.pop("oracles.py"))
+    found = {name: lines for name, source in texts.items() if (lines := tensordot_calls(source))}
     assert found == {}
 
 

@@ -19,7 +19,7 @@ from vilenkin import (
     vilenkin_column,
 )
 
-from conftest import random_sample, translate
+from conftest import count_syntheses, random_sample, translate
 
 
 def _character_2d(s, a, b):
@@ -86,6 +86,19 @@ def test_character_multiplier_formula():
             np.testing.assert_allclose(out.values, lam * f.values, atol=1e-12)
 
 
+@pytest.mark.parametrize("radices, depth", [((2, 3), 3), ((3, 2), 3), ((5,), 2)])
+def test_sigma_multiplier_is_the_count_at_the_larger_index(radices, depth):
+    # lambda_n(a, b) = clip(n - 1 + base - max(a, b), 0, n) / n, bit for bit
+    s = make_structure(radices, depth)
+    idx = np.arange(s.size)
+    for index_base in (0, 1):
+        for n in range(1, s.size + 1):
+            got = sigma_multiplier(s, n, index_base)
+            want = np.clip(n - 1 + index_base - np.maximum.outer(idx, idx), 0, n) / n
+            assert got.dtype == np.float64 and got.shape == (s.size, s.size)
+            assert got.tobytes() == want.tobytes()
+
+
 def test_order_one_mean_vanishes(rng):
     s = make_structure((2, 3))
     f = random_sample(s, rng)
@@ -116,7 +129,7 @@ def test_direct_route_transforms_once_and_matches_the_partial_sums(monkeypatch, 
 
 
 @pytest.mark.parametrize("radices", [(2, 3), (3, 2)])
-def test_multiplier_route_inverts_once_on_the_least_quotient_that_holds_the_order(
+def test_multiplier_route_synthesizes_once_on_the_least_quotient_that_holds_the_order(
     monkeypatch, rng, radices
 ):
     # lambda_n vanishes outside the leading M_P x M_P coefficients, M_P >= n
@@ -124,16 +137,8 @@ def test_multiplier_route_inverts_once_on_the_least_quotient_that_holds_the_orde
     f = random_sample(s, rng)
     for index_base in (0, 1):
         for n in range(1, s.size + 1):
-            sizes = []
-
-            def counted(spectrum, _inverse=transform.inverse):
-                sizes.append(spectrum.structure.size)
-                return _inverse(spectrum)
-
-            # every namespace that binds inverse, so no call escapes the count
             with monkeypatch.context() as patch:
-                for module in (transform, means, vilenkin):
-                    patch.setattr(module, "inverse", counted)
+                sizes = count_syntheses(patch)
                 got = marcinkiewicz_means(f, n, "multiplier", index_base).values
             assert sizes == [min(M for M in s.orders[1:] if M >= n)]
             for method in ("direct", "kernel"):

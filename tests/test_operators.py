@@ -22,7 +22,7 @@ from vilenkin import (
 
 from vilenkin.operators import v_kernel_table
 
-from conftest import random_sample
+from conftest import count_syntheses, random_sample
 
 
 def _character_2d(s, a, b):
@@ -259,18 +259,11 @@ def test_sigma_multiplier_lives_on_the_quotient(index_base):
         assert not outside.any()
 
 
-def test_lebesgue_reports_invert_each_mean_on_its_quotient(monkeypatch, rng):
+def test_lebesgue_reports_synthesize_each_mean_on_its_quotient(monkeypatch, rng):
+    # a sample of many values takes the gather for W, so every synthesis is a mean's
     s = make_structure((2, 3), 4)
     f = random_sample(s, rng)
-    sizes = []
-
-    def counted(spectrum, _inverse=transform.inverse):
-        sizes.append(spectrum.structure.size)
-        return _inverse(spectrum)
-
-    # every namespace that binds inverse, so no call escapes the count
-    for module in (transform, means, vilenkin):
-        monkeypatch.setattr(module, "inverse", counted)
+    sizes = count_syntheses(monkeypatch)
     lebesgue_reports(f, [(0, 0), (7, 30)])
     assert sizes == list(s.orders[1:])
 
